@@ -17,21 +17,15 @@ cargo fmt --check
 # the bench member, which the root package does not depend on.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-# Once pinned to the serial executor, once at the machine's default thread
-# count (the parallel executor when >1 core) — reports must be bit-identical
-# either way (tests/parallel_differential.rs), so both runs must pass. The
-# scheduler-equivalence suite (tests/sched_differential.rs) rides in both
-# passes, pinning fast-forward on/off byte-equality at each thread count.
-NPAR_THREADS=1 cargo test -q
-cargo test -q
+# One pass over every crate's tests. Host lane counts are pinned inside the
+# tests themselves (tests/parallel_differential.rs compares 1, 2 and 8
+# lanes byte for byte), so no environment override changes what they cover.
+cargo test -q --workspace
 # The scheduler-equivalence suite rides again with the timing pass forced
-# parallel (DESIGN.md §13): NPAR_TIMING_THREADS=8 must stay byte-identical
-# to the serial default at 1 and 8 host threads. (The suite's own matrix
-# already pins --timing-threads 1/2/8 per test; these runs additionally
-# flip the *default* every other differential test constructs its Gpus
-# with.)
-NPAR_THREADS=1 NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
-NPAR_THREADS=8 NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
+# parallel (DESIGN.md §13): NPAR_TIMING_THREADS=8 flips the default every
+# other differential test constructs its Gpus with, on top of the suite's
+# own --timing-threads 1/2/8 and host-lane matrix.
+NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo test -q --doc --workspace
 # Docs freshness: every flag runner::parse accepts must have a row in

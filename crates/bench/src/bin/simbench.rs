@@ -13,10 +13,11 @@
 //!
 //! Two tables come out: memoization on vs off (single-threaded, so the
 //! cache is measured in isolation), and a host thread-scaling sweep over
-//! 1/2/4/8 worker threads (memo on, DESIGN.md §10) with a per-core scaling
-//! efficiency column. All three kernels opt into `parallel_trace` — they
-//! are order-independent and never join children mid-block — so the sweep
-//! exercises the fully concurrent executor.
+//! 1/2/4/8 lanes of one simulator (memo on) with a per-core scaling
+//! efficiency column. Above one lane a simulator runs the chunked-align
+//! executor (DESIGN.md §10): blocks trace on the calling thread and only
+//! warp alignment fans out, so the sweep measures how much of each
+//! workload's wall that executor can take off the serial path.
 //!
 //! A third axis measures the event-driven timing pass itself
 //! (DESIGN.md §11): each workload runs with `--fast-forward` on vs off and
@@ -69,9 +70,6 @@ impl ThreadKernel for Regular {
     fn name(&self) -> &str {
         "bench-regular"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         let lane = t.thread_idx() as usize % 32;
@@ -100,9 +98,6 @@ impl ThreadKernel for Divergent {
     fn name(&self) -> &str {
         "bench-divergent"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id() + self.salt;
         let trips = (i * 2_654_435_761) % 31;
@@ -121,9 +116,6 @@ struct DpChild {
 impl ThreadKernel for DpChild {
     fn name(&self) -> &str {
         "bench-dp-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
@@ -144,11 +136,6 @@ struct DpParent {
 impl ThreadKernel for DpParent {
     fn name(&self) -> &str {
         "bench-dp-parent"
-    }
-    fn parallel_trace(&self) -> bool {
-        // Fire-and-forget launches only (joined at grid completion), so
-        // concurrent tracing is legal.
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         if t.is_leader() {
@@ -171,9 +158,6 @@ impl ThreadKernel for ConsChild {
     fn name(&self) -> &str {
         "bench-dp-storm-child"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = self.base + t.global_id();
         t.ld(&self.data, i);
@@ -194,9 +178,6 @@ struct ConsParent {
 impl ThreadKernel for ConsParent {
     fn name(&self) -> &str {
         "bench-dp-storm"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
@@ -225,9 +206,6 @@ impl ThreadKernel for StreamStorm {
     fn name(&self) -> &str {
         "bench-stream-storm"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         t.ld(&self.data, i);
@@ -238,7 +216,8 @@ impl ThreadKernel for StreamStorm {
 
 // --- measurement --------------------------------------------------------
 
-/// Host worker threads the scaling sweep visits.
+/// Simulator host lanes the scaling sweep visits (1 = serial engine, above
+/// that the chunked-align executor).
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn run_workload(
@@ -807,7 +786,7 @@ fn main() {
     .collect();
 
     let mut ts = table::Table::new(
-        "Host thread scaling — trace/align pipeline, memo on (reports bit-identical)",
+        "Host lane scaling — chunked-align executor vs serial, memo on (reports bit-identical)",
         &[
             "workload",
             "threads",

@@ -123,7 +123,7 @@ usage: <experiment> [flags]
   --check[=warn|strict]   record hazards (warn) or abort on them (strict)
   --no-memo               disable alignment memoization (differential runs)
   --fast-forward=on|off   toggle the timing-pass fast paths (default on)
-  --threads N             host worker threads (default: NPAR_THREADS/cores)
+  --threads N             host lanes per simulator (default 1; DESIGN.md \u{a7}10)
   --timing-threads N      timing-pass worker lanes (default 1; DESIGN.md \u{a7}13)
   --analytic[=on|off]     closed-form timing for uniform-wave grids (default off)
   --consolidate[=off|warp|block|grid|auto]  DP workload consolidation (bare = auto)
@@ -302,11 +302,12 @@ pub fn fast_forward_enabled() -> bool {
     parsed().fast_forward
 }
 
-/// Host worker threads per simulator, from `--threads N` / `--threads=N`;
-/// without the flag the `NPAR_THREADS` environment variable and then the
-/// machine's core count decide (see `npar_sim::Gpu::with_threads`).
-/// Reports are bit-identical at any thread count — the flag only changes
-/// host wall time.
+/// Host lanes per simulator, from `--threads N` / `--threads=N`; without
+/// the flag each simulator keeps the engine default of one lane, because
+/// the binaries already run independent simulations in parallel
+/// ([`parallel_map`]). Above 1 a simulator aligns warps on the chunked
+/// executor (see `npar_sim::Gpu::with_threads`). Reports are bit-identical
+/// at any thread count — the flag only changes host wall time.
 pub fn thread_count() -> Option<usize> {
     parsed().threads
 }
@@ -380,9 +381,6 @@ pub fn serve_config() -> npar_serve::ServeConfig {
         cfg.cache_dir = Some(PathBuf::from(dir));
     }
     cfg.cold = args.cold;
-    if let Some(n) = args.threads {
-        cfg.gpu_threads = n;
-    }
     cfg
 }
 
@@ -498,9 +496,13 @@ pub fn with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static)
         .expect("experiment thread panicked")
 }
 
-/// Run independent experiment closures in parallel on worker threads
-/// (each simulator instance is single-threaded and self-contained), with
-/// big stacks, preserving input order in the results.
+/// Run independent experiment closures in parallel on worker threads, one
+/// per core, preserving input order in the results.
+///
+/// This is the host's one layer of parallelism: it relies on every
+/// simulator simulating on one lane by default (`npar_sim::Gpu::new`), so
+/// `n` cores run `n` simulations and no simulator adds worker threads of
+/// its own unless `--threads` asks for them.
 pub fn parallel_map<I, T>(inputs: Vec<I>, f: impl Fn(I) -> T + Send + Sync) -> Vec<T>
 where
     I: Send,

@@ -82,9 +82,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Ignore an existing spill at boot (still spills on `join`).
     pub cold: bool,
-    /// Host threads per worker `Gpu` (`Gpu::with_threads`). Kept at 1 by
-    /// default: the shards themselves are the parallelism.
-    pub gpu_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -102,7 +99,6 @@ impl Default for ServeConfig {
             timeout: Some(Duration::from_secs(2)),
             cache_dir: std::env::var("NPAR_SERVE_CACHE").ok().map(PathBuf::from),
             cold: false,
-            gpu_threads: 1,
         }
     }
 }
@@ -500,8 +496,9 @@ fn worker(inner: &Inner, shard_idx: usize) {
 
         let sig = device_sig(&job.req.device);
         let gpu = gpus.entry(sig.clone()).or_insert_with(|| {
-            let mut gpu = Gpu::new(job.req.device.clone(), CostModel::default())
-                .with_threads(inner.cfg.gpu_threads.max(1));
+            // The shards are the parallelism: each worker `Gpu` keeps the
+            // engine default of one host lane.
+            let mut gpu = Gpu::new(job.req.device.clone(), CostModel::default());
             if let Some(snap) = inner.warm.get(&sig) {
                 gpu.import_memo(snap);
             }

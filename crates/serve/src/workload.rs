@@ -139,10 +139,12 @@ pub fn device_sig(device: &DeviceConfig) -> String {
     format!("{:016x}", fx(text.as_bytes()))
 }
 
-/// Validate a request before admission: unknown kernel ids and absurd
-/// shapes are rejected at submit time (`SubmitError::Invalid`) instead of
-/// occupying a worker.
+/// Validate a request before admission: devices the simulator cannot
+/// model ([`DeviceConfig::validate`]), unknown kernel ids and absurd shapes
+/// are rejected at submit time (`SubmitError::Invalid`) instead of
+/// occupying (or crashing) a worker.
 pub fn validate(req: &Request) -> Result<(), String> {
+    req.device.validate()?;
     if !KERNELS.contains(&req.kernel.as_str()) {
         return Err(format!(
             "unknown kernel {:?} (catalog: {})",
@@ -192,9 +194,6 @@ impl ThreadKernel for RegularWave {
     fn name(&self) -> &str {
         "serve-regular-wave"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         let lane = t.thread_idx() as usize % 32;
@@ -219,9 +218,6 @@ impl ThreadKernel for DivergentSweep {
     fn name(&self) -> &str {
         "serve-divergent"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id() as u64 + self.salt;
         let trips = i.wrapping_mul(2_654_435_761) % 23;
@@ -241,9 +237,6 @@ struct StormChild {
 impl ThreadKernel for StormChild {
     fn name(&self) -> &str {
         "serve-dp-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
@@ -266,10 +259,6 @@ impl ThreadKernel for StormParent {
     fn name(&self) -> &str {
         "serve-dp-storm"
     }
-    fn parallel_trace(&self) -> bool {
-        // Fire-and-forget launches joined at grid completion only.
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         if t.is_leader() {
             t.launch(&self.child, LaunchConfig::new(4, 64), Stream::Default);
@@ -290,9 +279,6 @@ struct ConsChild {
 impl ThreadKernel for ConsChild {
     fn name(&self) -> &str {
         "serve-dp-cons-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = self.base + t.global_id();
@@ -316,9 +302,6 @@ struct ConsStormParent {
 impl ThreadKernel for ConsStormParent {
     fn name(&self) -> &str {
         "serve-dp-cons"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
@@ -348,9 +331,6 @@ impl ThreadKernel for StreamBurst {
     fn name(&self) -> &str {
         "serve-stream-storm"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         t.ld(&self.data, i);
@@ -371,9 +351,6 @@ struct MonteCarlo {
 impl ThreadKernel for MonteCarlo {
     fn name(&self) -> &str {
         "serve-monte-carlo"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let warp = t.global_id() / 32;

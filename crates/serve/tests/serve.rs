@@ -1,7 +1,8 @@
-//! Integration tests for the serving layer (ISSUE 8 satellite coverage):
-//! persistence round-trip with byte-identical reports, graceful handling of
-//! corrupt/truncated spills, and dedupe correctness under concurrent
-//! identical submissions at 1/2/8 worker shards.
+//! Integration tests for the serving layer: persistence round-trip with
+//! byte-identical reports, graceful handling of corrupt/truncated spills,
+//! dedupe correctness under concurrent identical submissions at 1/2/8
+//! worker shards, and admission-time rejection of devices the simulator
+//! cannot model.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,7 +69,6 @@ fn persistence_round_trip_is_byte_identical() {
         timeout: None,
         cache_dir: Some(dir.clone()),
         cold: false,
-        gpu_threads: 1,
     };
     let requests: Vec<Request> = vec![
         tiny_request("regular-wave", 0),
@@ -124,7 +124,6 @@ fn warm_memo_serves_novel_requests_fresh_and_identical() {
         timeout: None,
         cache_dir,
         cold,
-        gpu_threads: 1,
     };
 
     // Seed the spill with the same kernel family, different salt.
@@ -169,7 +168,6 @@ fn corrupt_or_truncated_spill_starts_cold() {
         timeout: None,
         cache_dir: Some(dir.clone()),
         cold: false,
-        gpu_threads: 1,
     };
     let service = Service::start(cfg());
     let req = tiny_request("regular-wave", 0);
@@ -228,7 +226,6 @@ fn concurrent_identical_submissions_dedupe() {
             timeout: None,
             cache_dir: None,
             cold: false,
-            gpu_threads: 1,
         }));
         const SUBMITTERS: usize = 16;
         let barrier = Arc::new(Barrier::new(SUBMITTERS));
@@ -279,7 +276,6 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
         timeout: None,
         cache_dir: None,
         cold: false,
-        gpu_threads: 1,
     });
     let tickets: Vec<_> = (0..3)
         .map(|salt| service.submit(&tiny_request("divergent", salt)))
@@ -303,7 +299,6 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
         timeout: Some(Duration::ZERO),
         cache_dir: None,
         cold: false,
-        gpu_threads: 1,
     });
     let resp = service
         .submit(&tiny_request("regular-wave", 0))
@@ -324,4 +319,54 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
         Err(SubmitError::Invalid(_))
     ));
     service.join();
+}
+
+/// Submit `tiny_request` on a device broken by `edit`: admission must
+/// refuse it as invalid, and the same service must still complete a valid
+/// request afterwards (no worker was poisoned by the bad device).
+fn assert_device_rejected(edit: impl Fn(&mut DeviceConfig)) {
+    let service = Service::start(ServeConfig {
+        shards: 1,
+        queue_cap: 16,
+        timeout: None,
+        cache_dir: None,
+        cold: false,
+    });
+    let mut bad = tiny_request("regular-wave", 0);
+    edit(&mut bad.device);
+    assert!(
+        matches!(service.submit(&bad), Err(SubmitError::Invalid(_))),
+        "{:?} must be refused at admission",
+        bad.device
+    );
+    let resp = service
+        .submit(&tiny_request("regular-wave", 0))
+        .unwrap()
+        .wait();
+    assert!(matches!(resp, Response::Done { .. }), "got {resp:?}");
+    let stats = service.join();
+    assert_eq!(stats.served, 1);
+    assert_eq!(stats.failed, 0);
+}
+
+#[test]
+fn zero_num_sms_is_invalid() {
+    assert_device_rejected(|d| d.num_sms = 0);
+}
+
+#[test]
+fn zero_warp_size_is_invalid() {
+    assert_device_rejected(|d| d.warp_size = 0);
+}
+
+#[test]
+fn zero_max_blocks_per_sm_is_invalid() {
+    assert_device_rejected(|d| d.max_blocks_per_sm = 0);
+}
+
+#[test]
+fn zero_or_non_finite_clock_is_invalid() {
+    assert_device_rejected(|d| d.clock_ghz = 0.0);
+    assert_device_rejected(|d| d.clock_ghz = f64::NAN);
+    assert_device_rejected(|d| d.clock_ghz = f64::INFINITY);
 }

@@ -201,6 +201,29 @@ impl DeviceConfig {
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.clock_ghz * 1e9)
     }
+
+    /// Reject configurations the simulator cannot model: a zero SM count,
+    /// warp size or per-SM block limit (the scheduler and warp alignment
+    /// divide by or size queues with them), and a zero or non-finite clock
+    /// (every reported second would be meaningless).
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("num_sms", self.num_sms),
+            ("warp_size", self.warp_size),
+            ("max_blocks_per_sm", self.max_blocks_per_sm),
+        ] {
+            if value == 0 {
+                return Err(format!("device {field} must be nonzero"));
+            }
+        }
+        if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
+            return Err(format!(
+                "device clock_ghz must be finite and positive, got {}",
+                self.clock_ghz
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for DeviceConfig {
@@ -267,6 +290,25 @@ mod tests {
         let d = DeviceConfig::tiny();
         assert!(d.max_warps_per_sm * d.warp_size <= d.max_threads_per_sm);
         assert!(d.issue_width() >= 1.0);
+    }
+
+    #[test]
+    fn validate_rejects_unmodelable_devices() {
+        assert!(DeviceConfig::kepler_k20().validate().is_ok());
+        assert!(DeviceConfig::tiny().validate().is_ok());
+        let broken: [fn(&mut DeviceConfig); 6] = [
+            |d| d.num_sms = 0,
+            |d| d.warp_size = 0,
+            |d| d.max_blocks_per_sm = 0,
+            |d| d.clock_ghz = 0.0,
+            |d| d.clock_ghz = f64::NAN,
+            |d| d.clock_ghz = f64::INFINITY,
+        ];
+        for edit in broken {
+            let mut d = DeviceConfig::kepler_k20();
+            edit(&mut d);
+            assert!(d.validate().is_err(), "{d:?}");
+        }
     }
 
     #[test]

@@ -50,12 +50,11 @@ pub struct Gpu {
 
 impl Gpu {
     /// New simulated GPU with the given device and cost models. Host
-    /// execution defaults to one worker lane per available core (override
-    /// with [`Gpu::set_threads`] or the `NPAR_THREADS` environment
-    /// variable).
+    /// execution runs on the calling thread (one lane); independent
+    /// simulations are the unit of host parallelism, and
+    /// [`Gpu::set_threads`] opts one simulation into more lanes.
     pub fn new(device: DeviceConfig, cost: CostModel) -> Self {
         let mut engine = Engine::new(device, cost);
-        engine.threads = default_threads();
         engine.device.timing_threads = default_timing_threads(engine.device.timing_threads);
         Gpu {
             engine,
@@ -97,8 +96,9 @@ impl Gpu {
     }
 
     /// Set the number of host worker lanes used to simulate each grid's
-    /// blocks (see DESIGN.md §10). `1` selects the serial executor; any
-    /// higher count fans block work out over a work-stealing pool. Reports
+    /// blocks (see DESIGN.md §10). `1`, the default, selects the serial
+    /// executor; any higher count traces blocks on the calling thread and
+    /// fans their warp alignment out over a work-stealing pool. Reports
     /// are byte-for-byte identical at every thread count — the setting
     /// only changes host wall time. Values are clamped to at least 1; the
     /// pool is rebuilt lazily on the next launch.
@@ -522,26 +522,11 @@ impl Gpu {
     }
 }
 
-/// Default host worker-lane count: `NPAR_THREADS` when set to a positive
-/// integer, otherwise the number of available cores, otherwise 1.
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("NPAR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Default timing-pass lane count: `NPAR_TIMING_THREADS` when set to a
 /// positive integer, otherwise the [`DeviceConfig`] value (1 = the serial
-/// event loop). Unlike host tracing threads, the timing pass does not
-/// default to the core count — domain parallelism only pays off on
-/// multi-stream batches, so it is opt-in (DESIGN.md §13).
+/// event loop). Like the host lanes, the timing pass does not default to
+/// the core count — domain parallelism only pays off on multi-stream
+/// batches, so it is opt-in (DESIGN.md §13).
 fn default_timing_threads(fallback: usize) -> usize {
     if let Ok(v) = std::env::var("NPAR_TIMING_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -619,6 +604,51 @@ mod tests {
         let hits = Arc::new(SyncCell::new(vec![0u32; 1]));
         let k = Arc::new(CountKernel { n: 1, hits });
         assert!(gpu.launch(k, LaunchConfig::new(1, 4096)).is_err());
+    }
+
+    /// A launch of `DpParent` fans out into one child grid per block.
+    struct DpParent {
+        child: KernelRef,
+    }
+    impl ThreadKernel for DpParent {
+        fn name(&self) -> &str {
+            "dp-parent"
+        }
+        fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
+            if t.is_leader() {
+                t.launch(&self.child, LaunchConfig::new(4, 64), Stream::Default);
+            }
+            t.compute(1);
+        }
+    }
+
+    #[test]
+    fn default_gpu_simulates_on_one_lane() {
+        // Sweeps and serve shards run independent simulations in parallel,
+        // so a default `Gpu` must not add a second layer of host threads.
+        let mut gpu = Gpu::k20();
+        assert_eq!(gpu.threads(), 1);
+        let hits = Arc::new(SyncCell::new(vec![0u32; 256]));
+        let child = Arc::new(CountKernel {
+            n: 256,
+            hits: hits.clone(),
+        });
+        for _ in 0..4 {
+            gpu.launch(
+                Arc::new(DpParent {
+                    child: child.clone(),
+                }),
+                LaunchConfig::new(64, 128),
+            )
+            .unwrap();
+        }
+        let report = gpu.synchronize();
+        assert_eq!(report.device_launches, 4 * 64);
+        assert_eq!(gpu.threads(), 1);
+        assert!(
+            gpu.engine.pool.is_none(),
+            "no block pool on the default path"
+        );
     }
 
     #[test]

@@ -16,13 +16,20 @@ use crate::block::{finalize_block, BlockOutcome};
 use crate::check::{self, CheckState, GridAccess};
 use crate::config::DeviceConfig;
 use crate::cost::CostModel;
-use crate::ctx::{BlockCtx, TraceHost};
+use crate::ctx::BlockCtx;
 use crate::error::SimError;
 use crate::kernel::{KernelRef, LaunchConfig};
 use crate::memo::{BlockFps, BlockMemo, ClassStats, MemoCache};
-use crate::parallel::BufPool;
 use crate::profiler::{KernelMetrics, SimStats};
+use crate::trace::Op;
 use crate::warp::AlignScratch;
+
+/// One block's worth of recycled trace and fingerprint allocations.
+#[derive(Default)]
+pub(crate) struct BlockBufs {
+    pub traces: Vec<Vec<Op>>,
+    pub fps: BlockFps,
+}
 
 /// Where a grid was launched from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +75,11 @@ pub(crate) struct Engine {
     pub metrics: BTreeMap<String, KernelMetrics>,
     pub host_seq: u32,
     pub scratch: AlignScratch,
-    /// Recycled per-thread trace buffers (capacity survives across blocks,
-    /// which keeps millions of small blocks allocation-free).
-    pub trace_pool: Vec<Vec<crate::trace::Op>>,
-    /// Recycled per-thread fingerprint state (same lifecycle as
-    /// `trace_pool`).
-    pub fp_pool: BlockFps,
+    /// Recycled per-block trace and fingerprint buffers (capacity survives
+    /// across blocks, which keeps millions of small blocks
+    /// allocation-free). The serial path holds one set at a time; the
+    /// chunked executor up to one per deferred block.
+    pub bufs: Vec<BlockBufs>,
     /// Alignment memoization cache (see [`crate::memo`]); `None` when
     /// disabled. Survives synchronize — entries are content-keyed and
     /// carry no batch-local state.
@@ -98,9 +104,6 @@ pub(crate) struct Engine {
     /// their lane count is tuned independently of block execution
     /// (DESIGN.md §13).
     pub timing_pool: Option<npar_par::Pool<()>>,
-    /// Sharded recycled block buffers for the parallel path (the parallel
-    /// counterpart of `trace_pool`/`fp_pool`).
-    pub bufs: BufPool,
     /// Stack of per-grid chunked-executor states (innermost tracing grid on
     /// top); see [`crate::parallel::flush_chunks`]. Always empty on the
     /// serial path.
@@ -127,8 +130,7 @@ impl Engine {
             metrics: BTreeMap::new(),
             host_seq: 0,
             scratch: AlignScratch::default(),
-            trace_pool: Vec::new(),
-            fp_pool: BlockFps::default(),
+            bufs: Vec::new(),
             memo,
             stats: SimStats::default(),
             check,
@@ -137,7 +139,6 @@ impl Engine {
             threads: 1,
             pool: None,
             timing_pool: None,
-            bufs: BufPool::default(),
             chunks: Vec::new(),
             memo_classes: BTreeMap::new(),
             analyzer: crate::analyze::Analyzer::default(),
@@ -312,20 +313,19 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
     for b in 0..cfg.grid_dim {
         let memo_fp = memo_enabled && class.fp_on(b);
         let fp_on = memo_fp || probe_on;
-        let traces = std::mem::take(&mut engine.trace_pool);
-        let fps = std::mem::take(&mut engine.fp_pool);
+        let bufs = engine.bufs.pop().unwrap_or_default();
         let mut blk = BlockCtx::new(
-            TraceHost::Serial(engine),
+            engine,
             kernel.as_ref(),
             id,
             b,
             cfg,
-            traces,
-            fps,
+            bufs.traces,
+            bufs.fps,
             fp_on,
         );
         kernel.run_block(&mut blk);
-        let (mut traces, fps, pending, _host) = blk.into_parts();
+        let (mut traces, fps, pending) = blk.into_parts();
         // Split-borrow the engine so alignment can stream into the metrics
         // accumulator while reading the device/cost config.
         let Engine {
@@ -407,8 +407,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             window_attempts += 1;
             window_hits += u32::from(hit);
         }
-        engine.trace_pool = traces;
-        engine.fp_pool = fps;
+        engine.bufs.push(BlockBufs { traces, fps });
     }
     check::finish_grid(&mut engine.check, &name, id, gaccess);
     if let Some(g) = ga.take() {

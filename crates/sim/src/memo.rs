@@ -304,14 +304,13 @@ pub(crate) const EVAL_MIN: u32 = 4;
 /// fingerprinting, leaving a path back if the workload turns cacheable.
 ///
 /// Promotion back to enabled happens at grid boundaries only
-/// ([`ClassStats::eval`]). Demotion additionally fires mid-grid in
-/// trace-order executors ([`ClassStats::probe`]) — a hostile first grid
-/// stops paying the fingerprint cost after `EVAL_MIN` cold probes instead
-/// of fingerprinting every block to its boundary. The concurrently traced
-/// path fingerprints all blocks before any probe resolves, so it keeps the
-/// grid-start policy; the policy is a host-side heuristic that never
-/// reaches the report (see `tests/memo_differential.rs`), so the paths may
-/// legally diverge here.
+/// ([`ClassStats::eval`]). Demotion additionally fires mid-grid
+/// ([`ClassStats::probe`]) — a hostile first grid stops paying the
+/// fingerprint cost after `EVAL_MIN` cold probes instead of fingerprinting
+/// every block to its boundary. Both executors probe in trace order, so
+/// they follow the same policy sequence; the policy is a host-side
+/// heuristic that never reaches the report (see
+/// `tests/memo_differential.rs`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClassStats {
     /// Whether every block of this class currently rolls fingerprints.

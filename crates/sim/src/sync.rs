@@ -1,9 +1,9 @@
 //! [`SyncCell`]: a tiny `RwLock`-backed cell with the ergonomics of
 //! `RefCell`/`Cell`.
 //!
-//! Kernels must be `Send + Sync` so the parallel host executor can trace
-//! blocks of a grid on several worker threads at once (see
-//! [`crate::Gpu::with_threads`]). Kernel state that used to live in
+//! Kernels must be `Send + Sync` so a whole simulation can move to another
+//! host thread (sweep points and serve shards run independent
+//! [`crate::Gpu`]s in parallel). Kernel state that used to live in
 //! `Rc<RefCell<T>>` or `Cell<T>` migrates to `Arc<SyncCell<T>>` /
 //! `SyncCell<T>` with no changes at the use sites: `borrow()`,
 //! `borrow_mut()`, `get()` and `set()` keep their spelling, they just take a
@@ -17,10 +17,8 @@
 //! instead; such code cannot exist in a previously passing test suite.
 //!
 //! Like `RefCell`, a `SyncCell` is *not* a synchronization strategy — it is
-//! an interior-mutability primitive. Kernels that trace concurrently
-//! ([`crate::Kernel::parallel_trace`]) must still be order-independent
-//! between launch boundaries; the lock only makes access data-race-free, it
-//! does not make racy algorithms deterministic.
+//! an interior-mutability primitive: the lock only makes access
+//! data-race-free, it does not make racy algorithms deterministic.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 

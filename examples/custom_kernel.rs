@@ -1,7 +1,7 @@
 //! Writing a kernel directly against the simulator API: a histogram with
 //! global atomics, in a coalesced and an uncoalesced variant, showing how
-//! the profiler exposes memory behaviour and atomic contention — and how a
-//! kernel opts into multi-threaded host tracing (DESIGN.md §10).
+//! the profiler exposes memory behaviour and atomic contention — and how
+//! one simulation opts into several host lanes (DESIGN.md §10).
 //!
 //! ```sh
 //! cargo run --release --example custom_kernel
@@ -30,13 +30,6 @@ impl ThreadKernel for Histogram {
         } else {
             "histogram-linear"
         }
-    }
-    /// Safe to trace blocks concurrently: the only shared functional state
-    /// is the bin counters, and `+= 1` under the `SyncCell` lock commutes —
-    /// every block order yields the same bins, and the recorded per-block
-    /// traces don't depend on other blocks at all.
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let n = self.data.len();
@@ -68,10 +61,10 @@ fn main() {
     let data: Vec<u32> = (0..n as u32).map(|x| x.wrapping_mul(2654435761)).collect();
 
     for strided in [false, true] {
-        // Host-side parallelism: trace/align blocks on up to 4 worker
-        // threads. Purely a wall-clock knob — the report below is
-        // byte-identical at any thread count (or with no call at all,
-        // which defaults to NPAR_THREADS / the machine's core count).
+        // Host-side parallelism: align warps on up to 4 worker lanes
+        // while blocks trace on this thread. Purely a wall-clock knob —
+        // the report below is byte-identical at any lane count (or with
+        // no call at all, which simulates on one lane).
         let mut gpu = Gpu::k20().with_threads(4);
         let k = Arc::new(Histogram {
             data: data.clone(),

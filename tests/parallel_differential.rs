@@ -195,13 +195,13 @@ fn profiler_timelines_are_thread_invariant() {
     }
 }
 
-/// A dynamic-parallelism-heavy recursive kernel that opts into concurrent
-/// block tracing: every block's leader launches a child grid of the same
-/// kernel one level down (fire-and-forget, joined at grid completion — the
-/// only join `parallel_trace` allows). With several blocks per grid this
-/// exercises the fully concurrent executor end to end: worker-side trace
-/// hosts, canonical child registration with placeholder patching, and the
-/// pool's nested task submission (workers splitting spawned ranges again).
+/// A dynamic-parallelism-heavy recursive kernel: every block's leader
+/// launches a child grid of the same kernel one level down
+/// (fire-and-forget, joined at grid completion) into alternating device
+/// streams. With several blocks per grid this exercises the chunked-align
+/// executor's child registration during serial tracing, breadth-first
+/// descendant order and the pool's nested task submission (workers
+/// splitting spawned ranges again).
 struct RecSpawn {
     depth: u32,
     data: npar::sim::GBuf<f32>,
@@ -210,10 +210,6 @@ struct RecSpawn {
 impl Kernel for RecSpawn {
     fn name(&self) -> &str {
         "rec-spawn"
-    }
-
-    fn parallel_trace(&self) -> bool {
-        true
     }
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
@@ -252,7 +248,7 @@ fn launch_rec_spawn(gpu: &mut Gpu) -> Report {
 }
 
 #[test]
-fn parallel_traced_dp_kernel_is_thread_invariant() {
+fn recursive_spawn_kernel_is_thread_invariant() {
     for (check, memo) in [
         (CheckLevel::Off, true),
         (CheckLevel::Off, false),
@@ -271,19 +267,14 @@ fn parallel_traced_dp_kernel_is_thread_invariant() {
     );
 }
 
-/// Invalid device launches recorded mid-trace by concurrent workers must be
-/// spliced into the report in canonical block order — hazard counts (and
-/// under Warn, the execution that continues past them) must not depend on
-/// the thread count.
+/// Invalid device launches recorded mid-trace while alignment is deferred
+/// to the pool — hazard counts (and under Warn, the execution that
+/// continues past them) must not depend on the thread count.
 struct BadLauncher;
 
 impl Kernel for BadLauncher {
     fn name(&self) -> &str {
         "bad-launcher"
-    }
-
-    fn parallel_trace(&self) -> bool {
-        true
     }
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
