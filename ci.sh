@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, build, tests, docs freshness, and
-# the benchmark gates. simbench fails on a >2x throughput regression, a
-# timing-pass fast-path gain dropping below 0.7x of the stored ratio, or
-# the heterogeneous (divergent) workload paying >3% wall for the fast
-# paths — all against the checked-in crates/bench/BENCH_sim_baseline.json
+# Repository CI gate: formatting, lints, build, tests, docs freshness, the
+# consolidation speedup gate, and the benchmark gates. simbench fails on a
+# >2x throughput regression, a timing-pass fast-path gain dropping below
+# 0.7x of the stored ratio, or the heterogeneous (divergent) workload
+# paying >3% wall for the fast paths — all against the checked-in
+# crates/bench/BENCH_sim_baseline.json
 # (refresh with --update-baseline). loadtest gates the serving layer the
 # same way against crates/bench/BENCH_serve_baseline.json, plus its
 # structural gates: dup-heavy replay >= 3x cold throughput, warm-restart
@@ -34,6 +35,10 @@ cargo run --release -p npar-bench --bin docs_check
 # Static-analysis gate: no kernel class's verdict may drop from `proven`
 # (crates/bench/ANALYZE_baseline.json; refresh with --update-baseline).
 cargo run --release -p npar-bench --bin analyze_all
+# Consolidation gate: consolidated dpar-naive must beat plain dpar-naive by
+# at least 2x modeled time (the binary asserts it). Its launch-heavy grids
+# also exercise warp alignment with many launching lanes.
+cargo run --release -p npar-bench --bin fig_consolidation
 cargo run --release -p npar-bench --bin simbench
 # Serving gate: loadtest replays the mixed workload cold / dup-heavy /
 # warm-restarted (SERVING.md) and fails on any structural or baseline gate.

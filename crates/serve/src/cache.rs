@@ -26,7 +26,7 @@ pub const SPILL_FILE: &str = "serve_cache.json";
 
 /// Spill-format version; bumped whenever the layout changes. A mismatch is
 /// treated as corrupt (cold start), not migrated.
-const SPILL_VERSION: u64 = 1;
+const SPILL_VERSION: u64 = 2;
 
 /// Everything the service persists across restarts.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -360,6 +360,16 @@ fn zero_warp_size_is_invalid() {
 }
 
 #[test]
+fn zero_shared_banks_is_invalid() {
+    assert_device_rejected(|d| d.shared_banks = 0);
+}
+
+#[test]
+fn oversized_warp_is_invalid() {
+    assert_device_rejected(|d| d.warp_size = 128);
+}
+
+#[test]
 fn zero_max_blocks_per_sm_is_invalid() {
     assert_device_rejected(|d| d.max_blocks_per_sm = 0);
 }

@@ -339,6 +339,11 @@ pub(crate) fn align_block<M: WarpMemoView>(
                 slices[i] = &t[a as usize..b as usize];
                 ops += u64::from(b - a);
             }
+            // A warp idle for this whole segment costs nothing, exactly as
+            // on the barrier-free path: no key, no probe, no alignment.
+            if ops == 0 {
+                continue;
+            }
             // The rolling fingerprints cover whole traces; segmented
             // warps re-hash their per-segment slices (one cheap pass,
             // still far below alignment cost).
@@ -503,6 +508,97 @@ mod tests {
         crate::check::synccheck::sanitize_divergent(&mut traces);
         let (out, _) = finalize(&traces);
         assert_eq!(out.segments.len(), 1);
+    }
+
+    #[test]
+    fn idle_warps_in_barrier_segments_finalize_as_if_aligned() {
+        // Four warps over three barrier segments: warp 1 idles in the
+        // first, warp 2 in the last two, warp 3 in all of them.
+        let traces: Vec<Vec<Op>> = (0..128u64)
+            .map(|t| {
+                let w = t / 32;
+                let mut v = Vec::new();
+                if w == 0 || w == 2 {
+                    v.push(Op::GlobalRead {
+                        addr: t * 8,
+                        size: 8,
+                    });
+                }
+                v.push(Op::Sync);
+                if w < 2 {
+                    v.push(Op::Compute(t as u32 % 5 + 1));
+                }
+                if t == 3 {
+                    v.push(Op::Launch { grid: 9 });
+                }
+                v.push(Op::SyncChildren);
+                if w < 2 {
+                    v.push(Op::AtomicGlobal { addr: 64 });
+                }
+                v
+            })
+            .collect();
+        let device = DeviceConfig::kepler_k20();
+        let cost = CostModel::default();
+        let mut scratch = AlignScratch::default();
+
+        // Reference: align every warp of every segment, idle ones included.
+        // Debug output prints every f64 exactly, so comparing it compares
+        // bits.
+        let nsegs = 3;
+        let mut want = KernelMetrics::default();
+        let mut want_segs = Vec::new();
+        for s in 0..nsegs {
+            let mut seg = SegmentTask {
+                wait_children: s == 2,
+                ..Default::default()
+            };
+            for chunk in traces.chunks(32) {
+                let slices: Vec<&[Op]> = chunk
+                    .iter()
+                    .map(|t| t.split(|o| o.is_delimiter()).nth(s).unwrap())
+                    .collect();
+                let o = align_warp(&slices, &device, &cost, &mut want, &mut scratch);
+                seg.span = seg.span.max(o.cycles);
+                seg.work += o.cycles;
+                seg.launches
+                    .extend(o.launches.iter().map(|lp| (lp.grid, lp.offset)));
+            }
+            if s + 1 < nsegs {
+                seg.span += cost.sync_cycles;
+                seg.work += cost.sync_cycles * 4.0;
+                want.barriers += 1;
+                want.stalls.barrier += cost.sync_cycles * 4.0;
+            }
+            want_segs.push(seg);
+        }
+        want.blocks += 1;
+        want.threads += 128;
+        let want_segs = format!("{want_segs:?}");
+        assert!(want_segs.contains("(9, "), "the launch is in the reference");
+
+        let (out, got) = finalize(&traces);
+        assert_eq!(format!("{:?}", out.segments), want_segs);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+        // With the memo on, idle warps are not even probed: 2 + 2 + 2
+        // busy warp segments, one of which launches and is never cached.
+        let mut cache = crate::memo::MemoCache::default();
+        let mut fps = BlockFps::default();
+        fps.reset(traces.len());
+        let cfg = crate::kernel::LaunchConfig::new(1, 128);
+        let mut stats = crate::profiler::SimStats::default();
+        let mut got = KernelMetrics::default();
+        let memo = BlockMemo {
+            cache: &mut cache,
+            fps: &fps,
+            cfg: &cfg,
+            stats: &mut stats,
+        };
+        let out = finalize_block(&traces, &device, &cost, &mut got, &mut scratch, Some(memo));
+        assert_eq!(format!("{:?}", out.segments), want_segs);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(stats.warp_hits + stats.warp_misses, 5);
     }
 
     #[test]

@@ -202,19 +202,41 @@ impl DeviceConfig {
         cycles / (self.clock_ghz * 1e9)
     }
 
-    /// Reject configurations the simulator cannot model: a zero SM count,
-    /// warp size or per-SM block limit (the scheduler and warp alignment
-    /// divide by or size queues with them), and a zero or non-finite clock
-    /// (every reported second would be meaningless).
+    /// Reject configurations the simulator cannot model:
+    ///
+    /// * a zero SM count, per-SM block limit or cores per SM (the
+    ///   scheduler sizes queues with them and divides by the issue width);
+    /// * a warp size that is not a power of two in `1..=64` (warp alignment
+    ///   holds at most 64 lanes, and its stall split multiplies by the
+    ///   reciprocal width, which is exact only for powers of two);
+    /// * a memory-transaction size that is not a nonzero power of two
+    ///   (coalescing counts lines by shifting addresses);
+    /// * zero shared-memory banks (bank conflicts take addresses modulo
+    ///   the bank count);
+    /// * a zero or non-finite clock (every reported second would be
+    ///   meaningless).
     pub fn validate(&self) -> Result<(), String> {
         for (field, value) in [
             ("num_sms", self.num_sms),
-            ("warp_size", self.warp_size),
+            ("cores_per_sm", self.cores_per_sm),
             ("max_blocks_per_sm", self.max_blocks_per_sm),
+            ("shared_banks", self.shared_banks),
         ] {
             if value == 0 {
                 return Err(format!("device {field} must be nonzero"));
             }
+        }
+        if !self.warp_size.is_power_of_two() || self.warp_size > 64 {
+            return Err(format!(
+                "device warp_size must be a power of two no larger than 64, got {}",
+                self.warp_size
+            ));
+        }
+        if !self.mem_transaction_bytes.is_power_of_two() {
+            return Err(format!(
+                "device mem_transaction_bytes must be a nonzero power of two, got {}",
+                self.mem_transaction_bytes
+            ));
         }
         if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
             return Err(format!(
@@ -292,23 +314,62 @@ mod tests {
         assert!(d.issue_width() >= 1.0);
     }
 
+    /// Apply `edit` to a K20 and return whether `validate` refuses it.
+    fn rejects(edit: impl Fn(&mut DeviceConfig)) -> bool {
+        let mut d = DeviceConfig::kepler_k20();
+        edit(&mut d);
+        d.validate().is_err()
+    }
+
     #[test]
-    fn validate_rejects_unmodelable_devices() {
+    fn validate_accepts_presets() {
         assert!(DeviceConfig::kepler_k20().validate().is_ok());
+        assert!(DeviceConfig::gtx_titan().validate().is_ok());
         assert!(DeviceConfig::tiny().validate().is_ok());
-        let broken: [fn(&mut DeviceConfig); 6] = [
-            |d| d.num_sms = 0,
-            |d| d.warp_size = 0,
-            |d| d.max_blocks_per_sm = 0,
-            |d| d.clock_ghz = 0.0,
-            |d| d.clock_ghz = f64::NAN,
-            |d| d.clock_ghz = f64::INFINITY,
-        ];
-        for edit in broken {
-            let mut d = DeviceConfig::kepler_k20();
-            edit(&mut d);
-            assert!(d.validate().is_err(), "{d:?}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_sms_and_block_limit() {
+        assert!(rejects(|d| d.num_sms = 0));
+        assert!(rejects(|d| d.max_blocks_per_sm = 0));
+    }
+
+    #[test]
+    fn validate_rejects_bad_clocks() {
+        assert!(rejects(|d| d.clock_ghz = 0.0));
+        assert!(rejects(|d| d.clock_ghz = f64::NAN));
+        assert!(rejects(|d| d.clock_ghz = f64::INFINITY));
+    }
+
+    #[test]
+    fn validate_warp_size_is_a_power_of_two_up_to_64() {
+        for bad in [0, 3, 48, 96, 128] {
+            assert!(rejects(|d| d.warp_size = bad), "warp_size {bad}");
         }
+        for good in [1, 16, 32, 64] {
+            assert!(!rejects(|d| d.warp_size = good), "warp_size {good}");
+        }
+    }
+
+    #[test]
+    fn validate_mem_transaction_bytes_is_a_nonzero_power_of_two() {
+        for bad in [0, 96, 100] {
+            assert!(rejects(|d| d.mem_transaction_bytes = bad), "{bad} bytes");
+        }
+        for good in [1, 32, 128, 256] {
+            assert!(!rejects(|d| d.mem_transaction_bytes = good), "{good} bytes");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_shared_banks() {
+        assert!(rejects(|d| d.shared_banks = 0));
+        assert!(!rejects(|d| d.shared_banks = 24));
+    }
+
+    #[test]
+    fn validate_rejects_zero_cores_per_sm() {
+        assert!(rejects(|d| d.cores_per_sm = 0));
     }
 
     #[test]

@@ -583,6 +583,31 @@ mod tests {
     }
 
     #[test]
+    fn unmodelable_device_fails_the_launch_without_running_it() {
+        // Each of these once panicked or modeled nonsense inside the
+        // launch; now the launch is refused before any thread runs.
+        let broken: [fn(&mut DeviceConfig); 3] = [
+            |d| d.shared_banks = 0,
+            |d| d.warp_size = 128,
+            |d| d.cores_per_sm = 0,
+        ];
+        for edit in broken {
+            let mut device = DeviceConfig::tiny();
+            edit(&mut device);
+            let mut gpu = Gpu::new(device, CostModel::default());
+            let hits = Arc::new(SyncCell::new(vec![0u32; 64]));
+            let k = Arc::new(CountKernel {
+                n: 64,
+                hits: hits.clone(),
+            });
+            let err = gpu.launch(k, LaunchConfig::new(1, 64)).unwrap_err();
+            assert!(matches!(err, SimError::InvalidLaunch(_)), "{err}");
+            assert!(hits.borrow().iter().all(|&h| h == 0));
+            assert_eq!(gpu.synchronize().host_launches, 0);
+        }
+    }
+
+    #[test]
     fn synchronize_resets_batch() {
         let mut gpu = Gpu::tiny();
         let hits = Arc::new(SyncCell::new(vec![0u32; 10]));

@@ -165,8 +165,10 @@ impl Engine {
         self.analysis_active() && self.check.level != crate::check::CheckLevel::Off
     }
 
-    /// Validate a launch configuration against the device limits.
+    /// Validate the device model ([`DeviceConfig::validate`]) and a launch
+    /// configuration against its limits.
     pub(crate) fn validate(&self, cfg: &LaunchConfig) -> Result<(), SimError> {
+        self.device.validate().map_err(SimError::InvalidLaunch)?;
         validate_cfg(&self.device, cfg)
     }
 
@@ -384,6 +386,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         // Launch-bearing blocks are excluded from the block cache, so they
         // carry no signal about whether caching pays off for this class.
         let probed = block_memo.is_some() && !fps.any_launch();
+        let t_fin = std::time::Instant::now();
         let outcome = finalize_block(
             &traces,
             device,
@@ -392,6 +395,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             scratch,
             block_memo,
         );
+        stats.finalize_ns += t_fin.elapsed().as_nanos() as u64;
         grids[id].blocks.push(outcome);
         // `children` is sorted by construction (grid ids are assigned in
         // increasing order), so each pending launch checks in O(log n).

@@ -7,7 +7,8 @@ use crate::check::CheckReport;
 /// Errors surfaced by the simulator's host-side API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A launch configuration violates a device limit.
+    /// A launch configuration violates a device limit, or the device
+    /// itself fails [`crate::DeviceConfig::validate`].
     InvalidLaunch(String),
     /// The hazard checker found problems in the launched kernels: always
     /// for structural faults (divergent barriers, invalid device-side

@@ -102,6 +102,9 @@ struct Aligned {
     out: BlockOutcome,
     delta: KernelMetrics,
     publish: Option<WorkerPublish>,
+    /// Host nanoseconds the worker spent aligning the block
+    /// ([`crate::profiler::SimStats::finalize_ns`]).
+    ns: u64,
 }
 
 /// One traced block awaiting alignment and merge.
@@ -303,12 +306,15 @@ fn align_one(
     } else {
         None
     };
+    let t0 = std::time::Instant::now();
     let out = align_block(&db.traces, device, cost, scratch, &mut memo, &mut delta);
+    let ns = t0.elapsed().as_nanos() as u64;
     let publish = memo.map(WorkerMemo::into_publish);
     db.result = Some(Aligned {
         out,
         delta,
         publish,
+        ns,
     });
 }
 
@@ -347,6 +353,7 @@ fn merge_block(
                 engine.stats.block_misses += 1;
             }
             let a = db.result.take().expect("block aligned in the flush scope");
+            engine.stats.finalize_ns += a.ns;
             if let Some(p) = a.publish {
                 engine.stats.warp_hits += p.warp_hits;
                 engine.stats.warp_misses += p.warp_misses;

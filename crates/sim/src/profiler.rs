@@ -202,6 +202,12 @@ pub struct SimStats {
     /// (`sched::simulate`) alone — the serial Amdahl floor the DESIGN.md
     /// §11 fast paths attack. A subset of `wall_seconds`.
     pub timing_pass_ns: u64,
+    /// Host nanoseconds spent finalizing blocks (`finalize_block`: the
+    /// block-cache probe, barrier segmentation, warp alignment and warp
+    /// memo), timestamped once per block. The chunked executor sums its
+    /// lanes' alignment time, so with several lanes this can exceed the
+    /// wall time it overlaps.
+    pub finalize_ns: u64,
     /// Warp-segment alignments served from the memo cache.
     pub warp_hits: u64,
     /// Warp-segment alignments computed from scratch (cacheable misses).
@@ -243,6 +249,7 @@ impl SimStats {
     pub fn merge(&mut self, other: &SimStats) {
         self.wall_seconds += other.wall_seconds;
         self.timing_pass_ns += other.timing_pass_ns;
+        self.finalize_ns += other.finalize_ns;
         self.warp_hits += other.warp_hits;
         self.warp_misses += other.warp_misses;
         self.block_hits += other.block_hits;
@@ -435,12 +442,13 @@ impl fmt::Display for Report {
         if self.sim.ops_traced > 0 {
             writeln!(
                 f,
-                "sim: {:.1} ms host ({:.1} ms / {:.0}% timing pass) | {} ops \
-                 traced, {} replayed from cache ({:.1}%) | warp cache {}/{} \
-                 | block cache {}/{}",
+                "sim: {:.1} ms host ({:.1} ms / {:.0}% timing pass, {:.1} ms \
+                 finalize) | {} ops traced, {} replayed from cache ({:.1}%) | \
+                 warp cache {}/{} | block cache {}/{}",
                 self.sim.wall_seconds * 1e3,
                 self.sim.timing_pass_ns as f64 * 1e-6,
                 self.sim.timing_share() * 100.0,
+                self.sim.finalize_ns as f64 * 1e-6,
                 self.sim.ops_traced,
                 self.sim.ops_replayed,
                 self.sim.replay_fraction() * 100.0,
@@ -541,6 +549,7 @@ mod tests {
         let mut a = SimStats {
             wall_seconds: 0.5,
             timing_pass_ns: 100_000_000,
+            finalize_ns: 30_000_000,
             warp_hits: 3,
             warp_misses: 1,
             block_hits: 2,
@@ -562,6 +571,7 @@ mod tests {
         assert_eq!(a.ops_traced, 200);
         assert!((a.wall_seconds - 1.0).abs() < 1e-12);
         assert_eq!(a.timing_pass_ns, 200_000_000);
+        assert_eq!(a.finalize_ns, 60_000_000);
         assert!((a.timing_share() - 0.2).abs() < 1e-12);
         assert!((a.replay_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(SimStats::default().replay_fraction(), 0.0);
@@ -574,6 +584,7 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("replayed from cache"));
         assert!(s.contains("timing pass"));
+        assert!(s.contains("60.0 ms finalize"));
         assert!(s.contains("warp cache 6/8"));
         // A report with no traced ops keeps the sim line out entirely.
         assert!(!Report::default().to_string().contains("replayed"));

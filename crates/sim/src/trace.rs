@@ -45,56 +45,7 @@ impl Op {
     pub(crate) fn is_delimiter(self) -> bool {
         matches!(self, Op::Sync | Op::SyncChildren)
     }
-
-    /// Dispatch group for lockstep alignment: divergent ops of different
-    /// kinds at the same trace position serialize into separate issue
-    /// groups, which is how SIMT hardware handles intra-warp divergence.
-    /// The hazard checker classifies accesses through the same dispatch
-    /// groups, so both consumers agree on what "kind" an op is.
-    pub(crate) fn group(self) -> OpGroup {
-        match self {
-            Op::Compute(_) => OpGroup::Compute,
-            Op::GlobalRead { .. } => OpGroup::GlobalRead,
-            Op::GlobalWrite { .. } => OpGroup::GlobalWrite,
-            Op::SharedRead { .. } => OpGroup::SharedRead,
-            Op::SharedWrite { .. } => OpGroup::SharedWrite,
-            Op::AtomicGlobal { .. } => OpGroup::AtomicGlobal,
-            Op::AtomicShared { .. } => OpGroup::AtomicShared,
-            Op::Launch { .. } => OpGroup::Launch,
-            Op::Sync | Op::SyncChildren => OpGroup::Delimiter,
-        }
-    }
 }
-
-/// Alignment groups; the numeric order fixes the deterministic issue order
-/// of divergent groups within one lockstep step.
-#[allow(clippy::disallowed_methods)] // derived PartialOrd: unit variants, total order
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub(crate) enum OpGroup {
-    Compute = 0,
-    GlobalRead = 1,
-    GlobalWrite = 2,
-    SharedRead = 3,
-    SharedWrite = 4,
-    AtomicGlobal = 5,
-    AtomicShared = 6,
-    Launch = 7,
-    /// Barrier ops; never aligned (stripped into segment boundaries first).
-    Delimiter = 8,
-}
-
-/// All alignment groups except `Delimiter`, in issue order.
-pub(crate) const ISSUE_GROUPS: [OpGroup; 8] = [
-    OpGroup::Compute,
-    OpGroup::GlobalRead,
-    OpGroup::GlobalWrite,
-    OpGroup::SharedRead,
-    OpGroup::SharedWrite,
-    OpGroup::AtomicGlobal,
-    OpGroup::AtomicShared,
-    OpGroup::Launch,
-];
 
 #[cfg(test)]
 mod tests {
@@ -106,25 +57,6 @@ mod tests {
         assert!(Op::SyncChildren.is_delimiter());
         assert!(!Op::Compute(3).is_delimiter());
         assert!(!Op::GlobalRead { addr: 0, size: 4 }.is_delimiter());
-    }
-
-    #[test]
-    fn groups_cover_all_ops() {
-        let ops = [
-            Op::Compute(1),
-            Op::GlobalRead { addr: 0, size: 4 },
-            Op::GlobalWrite { addr: 0, size: 4 },
-            Op::SharedRead { addr: 0 },
-            Op::SharedWrite { addr: 0 },
-            Op::AtomicGlobal { addr: 0 },
-            Op::AtomicShared { addr: 0 },
-            Op::Launch { grid: 0 },
-        ];
-        let mut groups: Vec<_> = ops.iter().map(|o| o.group()).collect();
-        groups.sort();
-        groups.dedup();
-        assert_eq!(groups.len(), ops.len());
-        assert_eq!(groups, ISSUE_GROUPS.to_vec());
     }
 
     #[test]
