@@ -22,6 +22,9 @@ cargo build --release
 # tests themselves (tests/parallel_differential.rs compares 1, 2 and 8
 # lanes byte for byte), so no environment override changes what they cover.
 cargo test -q --workspace
+# The benchmark is its own package (perfbench/) and compiles against the
+# public kernel API, so build and test it here too.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # The scheduler-equivalence suite rides again with the timing pass forced
 # parallel (DESIGN.md §13): NPAR_TIMING_THREADS=8 flips the default every
 # other differential test constructs its Gpus with, on top of the suite's

@@ -23,10 +23,10 @@ use npar_sim::ThreadCtx;
 /// invokes it; the templates differ only in how iterations map to threads,
 /// blocks, buffers and nested grids.
 ///
-/// `Send + Sync` is required because kernels (which hold the loop) may be
-/// traced on host worker threads (see [`npar_sim::Gpu::with_threads`]);
-/// mutable functional state belongs in [`npar_sim::SyncCell`].
-pub trait IrregularLoop: Send + Sync {
+/// Kernels that hold the loop run on the thread that owns their
+/// [`npar_sim::Gpu`], so mutable functional state lives in plain
+/// `Cell`/`RefCell`s.
+pub trait IrregularLoop {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;
 

@@ -14,10 +14,10 @@ use npar_tree::Tree;
 /// application state and record *timing* on the [`npar_sim::ThreadCtx`]; the
 /// templates only decide the mapping and ordering.
 ///
-/// `Send + Sync` is required because kernels (which hold the reduction) may
-/// be traced on host worker threads (see [`npar_sim::Gpu::with_threads`]);
-/// mutable functional state belongs in [`npar_sim::SyncCell`].
-pub trait TreeReduce: Send + Sync {
+/// Kernels that hold the reduction run on the thread that owns their
+/// [`npar_sim::Gpu`], so mutable functional state lives in plain
+/// `Cell`/`RefCell`s.
+pub trait TreeReduce {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;
 

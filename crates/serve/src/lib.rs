@@ -50,6 +50,7 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -162,7 +163,7 @@ pub struct Ticket {
 
 impl Ticket {
     /// Block until the response arrives. Every admitted request gets
-    /// exactly one response; a worker lost to a panic surfaces as
+    /// exactly one response; a simulation that panics surfaces as
     /// [`Response::Failed`].
     pub fn wait(self) -> Response {
         self.rx
@@ -505,9 +506,29 @@ fn worker(inner: &Inner, shard_idx: usize) {
             gpu
         });
 
-        match workload::drive(gpu, &job.req, deadline) {
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let outcome = workload::drive(gpu, &job.req, deadline);
+            (outcome, gpu.synchronize())
+        }));
+        let (outcome, mut report) = match run {
+            Ok(done) => done,
+            Err(payload) => {
+                // The Gpu may hold a half-traced batch: drop it, and answer
+                // the waiters instead of leaving them in `inflight` forever.
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                gpus.remove(&sig);
+                counters.failed.fetch_add(1, Ordering::Relaxed);
+                let resp = Response::Failed(format!("simulation panicked: {msg}"));
+                finish(inner, job.key, &resp, None);
+                continue;
+            }
+        };
+        match outcome {
             Ok(workload::Drive::Completed) => {
-                let mut report = gpu.synchronize();
                 // Host-observational stats are per-process, not per-request
                 // content; zero them so responses are a pure function of
                 // the request (shard counters carry the service-side view).
@@ -525,13 +546,11 @@ fn worker(inner: &Inner, shard_idx: usize) {
                 );
             }
             Ok(workload::Drive::DeadlineHit) => {
-                // Flush the partial batch; its report is discarded.
-                let _ = gpu.synchronize();
+                // The partial batch was flushed; its report is discarded.
                 counters.timeout.fetch_add(1, Ordering::Relaxed);
                 finish(inner, job.key, &Response::TimedOut, None);
             }
             Err(e) => {
-                let _ = gpu.synchronize();
                 counters.failed.fetch_add(1, Ordering::Relaxed);
                 finish(inner, job.key, &Response::Failed(e.to_string()), None);
             }
@@ -569,5 +588,33 @@ fn finish(inner: &Inner, key: u64, response: &Response, cache_as: Option<Arc<Rep
         };
         // A dropped ticket is fine; the caller stopped caring.
         let _ = tx.send(resp);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_job_fails_and_the_shard_keeps_serving() {
+        let service = Service::start(ServeConfig {
+            shards: 1,
+            queue_cap: 16,
+            timeout: None,
+            cache_dir: None,
+            cold: false,
+        });
+        let mut req = Request::new(workload::tests::PANICKING);
+        req.device = npar_sim::DeviceConfig::tiny();
+        let resp = service.submit(&req).unwrap().wait();
+        let Response::Failed(msg) = resp else {
+            panic!("expected Failed, got {resp:?}");
+        };
+        assert!(msg.starts_with("simulation panicked"), "{msg}");
+        req.kernel = "regular-wave".into();
+        let resp = service.submit(&req).unwrap().wait();
+        assert!(matches!(resp, Response::Done { .. }), "got {resp:?}");
+        let stats = service.join();
+        assert_eq!((stats.served, stats.failed), (1, 1));
     }
 }

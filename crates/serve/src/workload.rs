@@ -18,7 +18,7 @@
 //! `salt` — never of global-memory *values* — so a request's `Report` is
 //! independent of whatever previously ran on the worker's `Gpu`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use npar_sim::{
@@ -145,7 +145,10 @@ pub fn device_sig(device: &DeviceConfig) -> String {
 /// occupying (or crashing) a worker.
 pub fn validate(req: &Request) -> Result<(), String> {
     req.device.validate()?;
-    if !KERNELS.contains(&req.kernel.as_str()) {
+    let known = KERNELS.contains(&req.kernel.as_str());
+    #[cfg(test)]
+    let known = known || req.kernel == tests::PANICKING;
+    if !known {
         return Err(format!(
             "unknown kernel {:?} (catalog: {})",
             req.kernel,
@@ -305,7 +308,7 @@ impl ThreadKernel for ConsStormParent {
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
-        let child: KernelRef = Arc::new(ConsChild {
+        let child: KernelRef = Rc::new(ConsChild {
             data: self.data,
             base: id * 128,
         });
@@ -396,7 +399,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         "regular-wave" => {
             let x = gpu.alloc::<f32>(threads * 2 + 31 * 499 + 200);
             let y = gpu.alloc::<f32>(threads);
-            let k = Arc::new(RegularWave { x, y });
+            let k = Rc::new(RegularWave { x, y });
             for _ in 0..d.launches {
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
@@ -411,7 +414,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
                 }
-                let k = Arc::new(DivergentSweep {
+                let k = Rc::new(DivergentSweep {
                     n,
                     salt: d.salt.wrapping_add(u64::from(l)),
                     data,
@@ -421,8 +424,8 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         }
         "dp-storm" => {
             let data = gpu.alloc::<f32>(4 * 64 * 3 + 4 * 64);
-            let child: KernelRef = Arc::new(StormChild { data });
-            let k = Arc::new(StormParent {
+            let child: KernelRef = Rc::new(StormChild { data });
+            let k = Rc::new(StormParent {
                 child,
                 salt: d.salt,
             });
@@ -437,7 +440,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
             // One private 128-element slice per parent thread (see
             // MAX_CONS_PARENT_THREADS for the shape bound this implies).
             let data = gpu.alloc::<f32>(threads * 128 + 128);
-            let k = Arc::new(ConsStormParent { data, salt: d.salt });
+            let k = Rc::new(ConsStormParent { data, salt: d.salt });
             for _ in 0..d.launches {
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
@@ -447,7 +450,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         }
         "stream-storm" => {
             let data = gpu.alloc::<f32>(threads);
-            let k = Arc::new(StreamBurst { data });
+            let k = Rc::new(StreamBurst { data });
             for s in 0..d.streams {
                 for _ in 0..d.launches {
                     if over(deadline) {
@@ -464,21 +467,36 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
                 }
-                let k = Arc::new(MonteCarlo {
+                let k = Rc::new(MonteCarlo {
                     out,
                     salt: d.salt.wrapping_add(u64::from(l) << 32),
                 });
                 gpu.launch(k, cfg)?;
             }
         }
+        #[cfg(test)]
+        tests::PANICKING => gpu.launch(Rc::new(tests::Panicking), cfg)?,
         other => unreachable!("validate() admits only catalog kernels, got {other:?}"),
     }
     Ok(Drive::Completed)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test-only catalog entry whose kernel panics while it is traced.
+    pub(crate) const PANICKING: &str = "test-panicking";
+
+    pub(crate) struct Panicking;
+    impl ThreadKernel for Panicking {
+        fn name(&self) -> &str {
+            PANICKING
+        }
+        fn run_thread(&self, _t: &mut ThreadCtx<'_, '_>) {
+            panic!("kernel bug");
+        }
+    }
 
     #[test]
     fn keys_are_content_addressed() {

@@ -370,6 +370,11 @@ fn oversized_warp_is_invalid() {
 }
 
 #[test]
+fn zero_max_threads_per_sm_is_invalid() {
+    assert_device_rejected(|d| d.max_threads_per_sm = 0);
+}
+
+#[test]
 fn zero_max_blocks_per_sm_is_invalid() {
     assert_device_rejected(|d| d.max_blocks_per_sm = 0);
 }

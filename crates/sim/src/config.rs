@@ -206,6 +206,8 @@ impl DeviceConfig {
     ///
     /// * a zero SM count, per-SM block limit or cores per SM (the
     ///   scheduler sizes queues with them and divides by the issue width);
+    /// * a zero per-SM thread, warp or register capacity (no block could
+    ///   ever be resident, so its launch would never run);
     /// * a warp size that is not a power of two in `1..=64` (warp alignment
     ///   holds at most 64 lanes, and its stall split multiplies by the
     ///   reciprocal width, which is exact only for powers of two);
@@ -221,6 +223,9 @@ impl DeviceConfig {
             ("cores_per_sm", self.cores_per_sm),
             ("max_blocks_per_sm", self.max_blocks_per_sm),
             ("shared_banks", self.shared_banks),
+            ("max_threads_per_sm", self.max_threads_per_sm),
+            ("max_warps_per_sm", self.max_warps_per_sm),
+            ("registers_per_sm", self.registers_per_sm),
         ] {
             if value == 0 {
                 return Err(format!("device {field} must be nonzero"));
@@ -370,6 +375,21 @@ mod tests {
     #[test]
     fn validate_rejects_zero_cores_per_sm() {
         assert!(rejects(|d| d.cores_per_sm = 0));
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_threads_per_sm() {
+        assert!(rejects(|d| d.max_threads_per_sm = 0));
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_warps_per_sm() {
+        assert!(rejects(|d| d.max_warps_per_sm = 0));
+    }
+
+    #[test]
+    fn validate_rejects_zero_registers_per_sm() {
+        assert!(rejects(|d| d.registers_per_sm = 0));
     }
 
     #[test]

@@ -15,10 +15,13 @@ use crate::sched::simulate_full;
 
 /// A simulated GPU.
 ///
+/// A `Gpu` is `!Send`: it and the kernels it runs stay on the thread that
+/// built it (see [`KernelRef`]).
+///
 /// Usage mirrors a CUDA host program:
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use npar_sim::{Gpu, LaunchConfig, ThreadKernel, ThreadCtx};
 ///
 /// struct Saxpy { n: usize, x: npar_sim::GBuf<f32>, y: npar_sim::GBuf<f32> }
@@ -38,7 +41,7 @@ use crate::sched::simulate_full;
 /// let mut gpu = Gpu::k20();
 /// let x = gpu.alloc::<f32>(1024);
 /// let y = gpu.alloc::<f32>(1024);
-/// gpu.launch(Arc::new(Saxpy { n: 1024, x, y }), LaunchConfig::cover(1024, 192, 1 << 20)).unwrap();
+/// gpu.launch(Rc::new(Saxpy { n: 1024, x, y }), LaunchConfig::cover(1024, 192, 1 << 20)).unwrap();
 /// let report = gpu.synchronize();
 /// assert!(report.cycles > 0.0);
 /// assert!((report.total().warp_execution_efficiency() - 1.0).abs() < 1e-9);
@@ -350,7 +353,7 @@ impl Gpu {
     /// Builder-style [`Gpu::set_profiler`].
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     /// use npar_sim::{Gpu, LaunchConfig, ThreadKernel, ThreadCtx};
     ///
     /// struct Ping;
@@ -360,7 +363,7 @@ impl Gpu {
     /// }
     ///
     /// let mut gpu = Gpu::k20().with_profiler(true);
-    /// gpu.launch(Arc::new(Ping), LaunchConfig::new(4, 64)).unwrap();
+    /// gpu.launch(Rc::new(Ping), LaunchConfig::new(4, 64)).unwrap();
     /// let report = gpu.synchronize();
     /// let profile = gpu.take_profile();
     /// assert_eq!(profile.kernels.len(), 1);
@@ -504,6 +507,7 @@ impl Gpu {
         let device_launches = self.engine.grids.len() as u64 - host_launches;
         let kernels = std::mem::take(&mut self.engine.metrics);
         self.engine.grids.clear();
+        self.engine.kernels.clear();
         self.engine.host_seq = 0;
         let hazards = self.engine.check.batch_count();
         self.engine.check.reset_batch();
@@ -542,13 +546,14 @@ fn default_timing_threads(fallback: usize) -> usize {
 mod tests {
     use super::*;
     use crate::ctx::ThreadCtx;
-    use crate::kernel::ThreadKernel;
-    use crate::sync::SyncCell;
-    use std::sync::Arc;
+    use crate::engine::validate_cfg;
+    use crate::kernel::{Kernel, ThreadKernel};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct CountKernel {
         n: usize,
-        hits: Arc<SyncCell<Vec<u32>>>,
+        hits: Rc<RefCell<Vec<u32>>>,
     }
     impl ThreadKernel for CountKernel {
         fn name(&self) -> &str {
@@ -569,8 +574,8 @@ mod tests {
     fn grid_stride_covers_every_item_once() {
         let mut gpu = Gpu::tiny();
         let n = 1000;
-        let hits = Arc::new(SyncCell::new(vec![0u32; n]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; n]));
+        let k = Rc::new(CountKernel {
             n,
             hits: hits.clone(),
         });
@@ -584,19 +589,24 @@ mod tests {
 
     #[test]
     fn unmodelable_device_fails_the_launch_without_running_it() {
-        // Each of these once panicked or modeled nonsense inside the
-        // launch; now the launch is refused before any thread runs.
-        let broken: [fn(&mut DeviceConfig); 3] = [
+        // Each of these once panicked, modeled nonsense inside the launch
+        // or never placed its blocks (a Report of launch overhead alone);
+        // now the launch is refused before any thread runs.
+        let broken: [fn(&mut DeviceConfig); 7] = [
             |d| d.shared_banks = 0,
             |d| d.warp_size = 128,
             |d| d.cores_per_sm = 0,
+            |d| d.max_threads_per_sm = 0,
+            |d| d.max_warps_per_sm = 0,
+            |d| d.registers_per_sm = 0,
+            |d| d.max_threads_per_sm = 16, // below the 64-thread block
         ];
         for edit in broken {
             let mut device = DeviceConfig::tiny();
             edit(&mut device);
             let mut gpu = Gpu::new(device, CostModel::default());
-            let hits = Arc::new(SyncCell::new(vec![0u32; 64]));
-            let k = Arc::new(CountKernel {
+            let hits = Rc::new(RefCell::new(vec![0u32; 64]));
+            let k = Rc::new(CountKernel {
                 n: 64,
                 hits: hits.clone(),
             });
@@ -605,13 +615,17 @@ mod tests {
             assert!(hits.borrow().iter().all(|&h| h == 0));
             assert_eq!(gpu.synchronize().host_launches, 0);
         }
+        let mut device = DeviceConfig::tiny();
+        device.max_threads_per_sm = 16;
+        let err = validate_cfg(&device, &LaunchConfig::new(1, 64)).unwrap_err();
+        assert!(err.to_string().contains("binding limit: threads"), "{err}");
     }
 
     #[test]
     fn synchronize_resets_batch() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 10]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; 10]));
+        let k = Rc::new(CountKernel {
             n: 10,
             hits: hits.clone(),
         });
@@ -626,8 +640,8 @@ mod tests {
     #[test]
     fn launch_rejects_oversized_block() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 1]));
-        let k = Arc::new(CountKernel { n: 1, hits });
+        let hits = Rc::new(RefCell::new(vec![0u32; 1]));
+        let k = Rc::new(CountKernel { n: 1, hits });
         assert!(gpu.launch(k, LaunchConfig::new(1, 4096)).is_err());
     }
 
@@ -647,20 +661,51 @@ mod tests {
         }
     }
 
+    /// Holds a mutable borrow of the state its child reads across the
+    /// join that runs the child.
+    struct BorrowAcrossJoin {
+        hits: Rc<RefCell<Vec<u32>>>,
+        child: KernelRef,
+    }
+    impl Kernel for BorrowAcrossJoin {
+        fn name(&self) -> &str {
+            "borrow-across-join"
+        }
+        fn run_block(&self, blk: &mut crate::BlockCtx<'_>) {
+            let mut held = self.hits.borrow_mut();
+            blk.leader(|t| t.launch(&self.child, LaunchConfig::new(1, 32), Stream::Default));
+            blk.sync_children();
+            held[0] += 1;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn reentrant_state_access_panics_instead_of_hanging() {
+        let mut gpu = Gpu::tiny();
+        let hits = Rc::new(RefCell::new(vec![0u32; 32]));
+        let child = Rc::new(CountKernel {
+            n: 32,
+            hits: hits.clone(),
+        });
+        let k = Rc::new(BorrowAcrossJoin { hits, child });
+        let _ = gpu.launch(k, LaunchConfig::new(1, 32));
+    }
+
     #[test]
     fn default_gpu_simulates_on_one_lane() {
         // Sweeps and serve shards run independent simulations in parallel,
         // so a default `Gpu` must not add a second layer of host threads.
         let mut gpu = Gpu::k20();
         assert_eq!(gpu.threads(), 1);
-        let hits = Arc::new(SyncCell::new(vec![0u32; 256]));
-        let child = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; 256]));
+        let child = Rc::new(CountKernel {
             n: 256,
             hits: hits.clone(),
         });
         for _ in 0..4 {
             gpu.launch(
-                Arc::new(DpParent {
+                Rc::new(DpParent {
                     child: child.clone(),
                 }),
                 LaunchConfig::new(64, 128),
@@ -679,8 +724,8 @@ mod tests {
     #[test]
     fn reports_merge_across_batches() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 64]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; 64]));
+        let k = Rc::new(CountKernel {
             n: 64,
             hits: hits.clone(),
         });

@@ -10,7 +10,7 @@
 //! here.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::block::{finalize_block, BlockOutcome};
 use crate::check::{self, CheckState, GridAccess};
@@ -48,11 +48,11 @@ pub(crate) enum Origin {
     },
 }
 
-/// A grid registered for execution. Device-launched grids are *deferred*:
-/// `kernel` holds the pending work until the parent reaches a
-/// `sync_children` barrier or completes (the CUDA ordering — a child never
-/// runs before its launching warp proceeds). Once executed, `kernel` is
-/// dropped and `blocks` is populated.
+/// A grid registered for execution: timing data only. Device-launched
+/// grids are *deferred*: [`Engine::kernels`] holds the pending work until
+/// the parent reaches a `sync_children` barrier or completes (the CUDA
+/// ordering — a child never runs before its launching warp proceeds). Once
+/// executed, the kernel is dropped and `blocks` is populated.
 pub(crate) struct GridTask {
     /// Kernel name (diagnostics key on it; metrics do already).
     pub name: String,
@@ -63,15 +63,23 @@ pub(crate) struct GridTask {
     pub depth: u32,
     pub blocks: Vec<BlockOutcome>,
     pub children: Vec<usize>,
-    /// Pending functional work (None once executed).
-    pub kernel: Option<KernelRef>,
 }
+
+// The parallel timing pass shares `&[GridTask]` across its pool.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<GridTask>();
+    send_sync::<BlockOutcome>();
+};
 
 /// Engine state for one batch (between synchronizations).
 pub(crate) struct Engine {
     pub device: DeviceConfig,
     pub cost: CostModel,
     pub grids: Vec<GridTask>,
+    /// Pending functional work per grid id (`None` once executed); cleared
+    /// together with `grids` at synchronize.
+    pub kernels: Vec<Option<KernelRef>>,
     pub metrics: BTreeMap<String, KernelMetrics>,
     pub host_seq: u32,
     pub scratch: AlignScratch,
@@ -127,6 +135,7 @@ impl Engine {
             device,
             cost,
             grids: Vec::new(),
+            kernels: Vec::new(),
             metrics: BTreeMap::new(),
             host_seq: 0,
             scratch: AlignScratch::default(),
@@ -223,6 +232,17 @@ pub(crate) fn validate_cfg(device: &DeviceConfig, cfg: &LaunchConfig) -> Result<
             cfg.shared_mem_bytes, device.shared_mem_per_block
         )));
     }
+    // A block no SM can hold would never be placed, and the batch would
+    // end without it.
+    if crate::occupancy::block_residency_limit(device, cfg.block_dim, cfg.shared_mem_bytes) == 0 {
+        let limiter =
+            crate::occupancy::occupancy(device, cfg.block_dim, cfg.shared_mem_bytes).limiter;
+        return Err(SimError::InvalidLaunch(format!(
+            "a {}-thread block with {} B of shared memory never fits on an SM \
+             (binding limit: {limiter})",
+            cfg.block_dim, cfg.shared_mem_bytes
+        )));
+    }
     Ok(())
 }
 
@@ -247,8 +267,8 @@ pub(crate) fn register_grid(
         depth,
         blocks: Vec::with_capacity(cfg.grid_dim as usize),
         children: Vec::new(),
-        kernel: Some(Arc::clone(kernel)),
     });
+    engine.kernels.push(Some(Rc::clone(kernel)));
     if let Origin::Device { parent, .. } = origin {
         engine.grids[parent].children.push(id);
         if engine.analysis_active() {
@@ -273,7 +293,7 @@ pub(crate) fn register_grid(
 /// parallel executor's path for single-block grids, where fan-out buys
 /// nothing (hence `pub(crate)`).
 pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
-    let Some(kernel) = engine.grids[id].kernel.take() else {
+    let Some(kernel) = engine.kernels[id].take() else {
         return; // already executed
     };
     let cfg = engine.grids[id].cfg;
@@ -482,7 +502,7 @@ mod tests {
     #[test]
     fn executes_all_blocks_and_threads() {
         let mut e = Engine::new(DeviceConfig::tiny(), CostModel::default());
-        let k: KernelRef = Arc::new(Noop);
+        let k: KernelRef = Rc::new(Noop);
         let id = register_grid(
             &mut e,
             &k,
@@ -491,7 +511,7 @@ mod tests {
         );
         assert_eq!(id, 0);
         assert_eq!(e.grids[0].blocks.len(), 3);
-        assert!(e.grids[0].kernel.is_none(), "host grid runs immediately");
+        assert!(e.kernels[0].is_none(), "host grid runs immediately");
         let m = &e.metrics["noop"];
         assert_eq!(m.grids, 1);
         assert_eq!(m.blocks, 3);

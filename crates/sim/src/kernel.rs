@@ -2,7 +2,7 @@
 //! trait implemented by every simulated GPU kernel.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::ctx::BlockCtx;
 
@@ -113,7 +113,7 @@ impl BlockState {
 /// quickstart example:
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use npar_sim::{BlockCtx, Gpu, Kernel, LaunchConfig};
 ///
 /// /// Stage values into shared memory, barrier, then read them back.
@@ -134,11 +134,11 @@ impl BlockState {
 /// }
 ///
 /// let mut gpu = Gpu::k20();
-/// gpu.launch(Arc::new(StageAndSum), LaunchConfig::new(8, 64)).unwrap();
+/// gpu.launch(Rc::new(StageAndSum), LaunchConfig::new(8, 64)).unwrap();
 /// let report = gpu.synchronize();
 /// assert_eq!(report.total().barriers, 8); // one per block
 /// ```
-pub trait Kernel: Send + Sync {
+pub trait Kernel {
     /// Kernel name, used to key profiler metrics (like `nvprof` does).
     fn name(&self) -> &str;
 
@@ -153,7 +153,7 @@ pub trait Kernel: Send + Sync {
 
 /// Convenience trait for barrier-free kernels: implement a per-thread body
 /// and get a [`Kernel`] via the blanket impl.
-pub trait ThreadKernel: Send + Sync {
+pub trait ThreadKernel {
     /// Kernel name, used to key profiler metrics.
     fn name(&self) -> &str;
 
@@ -172,11 +172,12 @@ impl<K: ThreadKernel> Kernel for K {
 }
 
 /// Shared-ownership handle to a kernel, as required for device-side
-/// launches (a child kernel must outlive the launching scope). `Send +
-/// Sync` on the kernel traits keeps a whole [`crate::Gpu`] movable to
-/// another host thread, which is how sweeps and serve shards run
-/// independent simulations in parallel.
-pub type KernelRef = Arc<dyn Kernel>;
+/// launches (a child kernel must outlive the launching scope). Kernels are
+/// traced on the thread that owns their [`crate::Gpu`], so the handle is an
+/// `Rc` and kernel state lives in plain `Cell`/`RefCell`s. A `Gpu` is
+/// therefore `!Send`: sweeps and serve shards run independent simulations
+/// in parallel by building each `Gpu` on the thread that drives it.
+pub type KernelRef = Rc<dyn Kernel>;
 
 #[cfg(test)]
 mod tests {

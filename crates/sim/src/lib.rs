@@ -60,7 +60,6 @@ mod parallel;
 pub mod prof;
 pub mod profiler;
 mod sched;
-mod sync;
 mod trace;
 mod warp;
 
@@ -78,4 +77,3 @@ pub use kernel::{BlockState, Kernel, KernelRef, LaunchConfig, Stream, ThreadKern
 pub use memo::MemoSnapshot;
 pub use prof::{BlockSpan, KernelSpan, LaunchFlow, Profile};
 pub use profiler::{KernelMetrics, Report, SimStats, StallCycles};
-pub use sync::SyncCell;

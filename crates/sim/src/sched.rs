@@ -1747,7 +1747,6 @@ mod tests {
             depth: 0,
             blocks,
             children,
-            kernel: None,
         }
     }
 
@@ -2017,7 +2016,6 @@ mod tests {
                 depth: self.depth,
                 blocks: self.blocks.clone(),
                 children: self.children.clone(),
-                kernel: None,
             }
         }
     }

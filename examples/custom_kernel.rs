@@ -7,8 +7,8 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar::sim::{GBuf, Gpu, LaunchConfig, ThreadCtx, ThreadKernel};
 
@@ -16,7 +16,7 @@ struct Histogram {
     /// Input values.
     data: Vec<u32>,
     /// Bin counts (functional result).
-    bins: SyncCell<Vec<u32>>,
+    bins: RefCell<Vec<u32>>,
     data_buf: GBuf<u32>,
     bins_buf: GBuf<u32>,
     /// Strided (uncoalesced) or linear (coalesced) input access.
@@ -66,9 +66,9 @@ fn main() {
         // the report below is byte-identical at any lane count (or with
         // no call at all, which simulates on one lane).
         let mut gpu = Gpu::k20().with_threads(4);
-        let k = Arc::new(Histogram {
+        let k = Rc::new(Histogram {
             data: data.clone(),
-            bins: SyncCell::new(vec![0; 64]),
+            bins: RefCell::new(vec![0; 64]),
             data_buf: gpu.alloc::<u32>(n),
             bins_buf: gpu.alloc::<u32>(64),
             strided,

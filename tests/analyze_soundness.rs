@@ -9,121 +9,17 @@
 //! * on a clean repetitive workload elision must actually engage — the
 //!   differential assertions must not pass vacuously.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::sim::{
-    BlockCtx, CheckLevel, GBuf, Gpu, Kernel, KernelRef, LaunchConfig, Report, SimError, SimStats,
-    Stream, ThreadCtx, ThreadKernel,
+    CheckLevel, GBuf, Gpu, KernelRef, LaunchConfig, Report, SimError, SimStats, ThreadCtx,
+    ThreadKernel,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-// ---------------------------------------------------------------------------
-// Seeded-bug kernels (mirrors tests/checker.rs): one per diagnostic kind.
-// ---------------------------------------------------------------------------
-
-/// Every thread of the block stores to shared offset 0 in one segment.
-struct SharedRaceKernel;
-impl Kernel for SharedRaceKernel {
-    fn name(&self) -> &str {
-        "seeded-shared-race"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        blk.for_each_thread(|t| t.shared_st(0));
-    }
-}
-
-/// Every thread of every block stores to the same global element — the
-/// per-block scans stay quiet; only the cross-block sweep catches it.
-struct GlobalRaceKernel {
-    buf: GBuf<u32>,
-}
-impl ThreadKernel for GlobalRaceKernel {
-    fn name(&self) -> &str {
-        "seeded-global-race"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        t.st(&self.buf, 0);
-    }
-}
-
-/// Each thread stores to its own global element — the race-free twin, the
-/// positive control for promotion.
-struct DisjointWriteKernel {
-    buf: GBuf<u32>,
-}
-impl ThreadKernel for DisjointWriteKernel {
-    fn name(&self) -> &str {
-        "disjoint-writes"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        t.st(&self.buf, t.global_id());
-    }
-}
-
-/// The leader touches one shared word past the declared allocation.
-struct OobKernel {
-    declared: u32,
-}
-impl Kernel for OobKernel {
-    fn name(&self) -> &str {
-        "seeded-shared-oob"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let edge = self.declared;
-        blk.leader(|t| t.shared_st(edge));
-    }
-}
-
-/// Child grid that plainly writes the first `n` elements of a buffer.
-struct ChildWriter {
-    buf: GBuf<u32>,
-    n: usize,
-}
-impl ThreadKernel for ChildWriter {
-    fn name(&self) -> &str {
-        "child-writer"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        let i = t.global_id();
-        if i < self.n {
-            t.st(&self.buf, i);
-        }
-    }
-}
-
-/// Launches the child, then reads what the child writes with only a plain
-/// barrier in between (no `sync_children`).
-struct ForgetfulParent {
-    child: KernelRef,
-    buf: GBuf<u32>,
-}
-impl Kernel for ForgetfulParent {
-    fn name(&self) -> &str {
-        "seeded-unjoined-read"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let cfg = LaunchConfig::new(1, 32);
-        blk.leader(|t| t.launch(&self.child, cfg, Stream::Default));
-        blk.sync();
-        blk.for_each_thread(|t| t.ld(&self.buf, 0));
-    }
-}
-
-/// Launches a child grid whose block size exceeds the device limit.
-struct BadLauncher {
-    child: KernelRef,
-    block_dim: u32,
-}
-impl Kernel for BadLauncher {
-    fn name(&self) -> &str {
-        "seeded-bad-launch"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let cfg = LaunchConfig::new(1, self.block_dim);
-        blk.leader(|t| t.launch(&self.child, cfg, Stream::Default));
-    }
-}
+mod seeded;
+use seeded::*;
 
 /// Run `launch` three times under `Warn` (hazards recorded, runs continue,
 /// elision active) and return the analysis of the named kernel. Several
@@ -161,7 +57,7 @@ fn analyze_seeded(
 fn seeded_shared_race_is_never_proven() {
     let k = analyze_seeded("seeded-shared-race", |gpu| {
         gpu.launch(
-            Arc::new(SharedRaceKernel),
+            Rc::new(SharedRaceKernel),
             LaunchConfig::with_shared(2, 64, 4),
         )
         .unwrap();
@@ -174,7 +70,7 @@ fn seeded_global_race_is_never_proven() {
     let mut buf = None;
     let k = analyze_seeded("seeded-global-race", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(64));
-        gpu.launch(Arc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
+        gpu.launch(Rc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
             .unwrap();
     });
     assert!(
@@ -188,7 +84,7 @@ fn seeded_global_race_is_never_proven() {
 fn seeded_shared_oob_is_never_proven() {
     let k = analyze_seeded("seeded-shared-oob", |gpu| {
         gpu.launch(
-            Arc::new(OobKernel { declared: 128 }),
+            Rc::new(OobKernel { declared: 128 }),
             LaunchConfig::with_shared(2, 32, 128),
         )
         .unwrap();
@@ -201,9 +97,13 @@ fn seeded_unjoined_child_read_is_never_proven() {
     let mut buf = None;
     analyze_seeded("seeded-unjoined-read", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(32));
-        let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+        let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
         gpu.launch(
-            Arc::new(ForgetfulParent { child, buf }),
+            Rc::new(ForgetfulParent {
+                child,
+                buf,
+                join: false,
+            }),
             LaunchConfig::new(1, 32),
         )
         .unwrap();
@@ -215,10 +115,10 @@ fn seeded_invalid_child_launch_is_never_proven() {
     let mut buf = None;
     analyze_seeded("seeded-bad-launch", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(32));
-        let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+        let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
         // Warn records the structural fault and continues.
         let _ = gpu.launch(
-            Arc::new(BadLauncher {
+            Rc::new(BadLauncher {
                 child,
                 block_dim: 4096,
             }),
@@ -233,7 +133,7 @@ fn clean_twin_is_proven_and_elides() {
     // first clean grid and elide identical blocks from then on.
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
-    let k = Arc::new(DisjointWriteKernel { buf });
+    let k = Rc::new(DisjointWriteKernel { buf });
     for _ in 0..3 {
         gpu.launch(k.clone(), LaunchConfig::new(2, 32)).unwrap();
     }
@@ -253,85 +153,12 @@ fn clean_twin_is_proven_and_elides() {
 // Randomized elide-on/off differential under Strict.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-enum PlanOp {
-    W(u32),
-    R(u32),
-    A(u32),
-}
-
-/// Replays an explicit per-segment, per-lane shared-memory access plan —
-/// identically in every block, so clean plans become elidable.
-struct PlanKernel {
-    plan: Vec<Vec<Vec<PlanOp>>>, // [segment][lane][ops]
-}
-impl Kernel for PlanKernel {
-    fn name(&self) -> &str {
-        "plan"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        for (s, seg) in self.plan.iter().enumerate() {
-            if s > 0 {
-                blk.sync();
-            }
-            blk.for_each_thread(|t| {
-                for op in &seg[t.thread_idx() as usize] {
-                    match *op {
-                        PlanOp::W(a) => t.shared_st(a),
-                        PlanOp::R(a) => t.shared_ld(a),
-                        PlanOp::A(a) => t.shared_atomic(a),
-                    }
-                }
-            });
-        }
-    }
-}
-
-const LANES: usize = 32;
-const PLAN_SHARED: u32 = 43 * 4;
-const RO_WORD: u32 = 41 * 4;
-const COUNTER_WORD: u32 = 42 * 4;
-
-fn race_free_plan(rng: &mut ChaCha8Rng, nsegs: usize) -> Vec<Vec<Vec<PlanOp>>> {
-    (0..nsegs)
-        .map(|_| {
-            (0..LANES)
-                .map(|lane| {
-                    let own = lane as u32 * 4;
-                    (0..rng.gen_range(0usize..4))
-                        .map(|_| match rng.gen_range(0u32..5) {
-                            0 => PlanOp::W(own),
-                            1 => PlanOp::R(own),
-                            2 => PlanOp::A(own),
-                            3 => PlanOp::R(RO_WORD),
-                            _ => PlanOp::A(COUNTER_WORD),
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn inject_race(rng: &mut ChaCha8Rng, plan: &mut [Vec<Vec<PlanOp>>]) {
-    let seg = rng.gen_range(0..plan.len());
-    let l1 = rng.gen_range(0..LANES);
-    let l2 = (l1 + 1 + rng.gen_range(0..LANES - 1)) % LANES;
-    let addr = (LANES as u32 + rng.gen_range(0u32..8)) * 4;
-    plan[seg][l1].push(PlanOp::W(addr));
-    plan[seg][l2].push(match rng.gen_range(0u32..3) {
-        0 => PlanOp::W(addr),
-        1 => PlanOp::R(addr),
-        _ => PlanOp::A(addr),
-    });
-}
-
 /// Launch the plan three times (6 blocks each) and return what a Strict
 /// run observes: the synchronize report (or the failing launch's hazard
 /// report) plus the drained check report rendered to text.
 fn strict_outcome(plan: &[Vec<Vec<PlanOp>>], elide: bool) -> (Result<Report, String>, String, u64) {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict).with_elide(elide);
-    let k = Arc::new(PlanKernel {
+    let k = Rc::new(PlanKernel {
         plan: plan.to_vec(),
     });
     for _ in 0..3 {
@@ -415,7 +242,7 @@ fn saxpy_strict(gpu: &mut Gpu, launches: usize) -> Report {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for _ in 0..launches {
         gpu.launch(k.clone(), LaunchConfig::new(64, 128)).unwrap();
     }

@@ -6,18 +6,21 @@
 //! * every loop template, recursive template, sort and graph app the repo
 //!   ships must run hazard-clean under `Strict` on its standard datasets.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bc, bfs, pagerank, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
 use npar::graph::{uniform_random, with_random_weights};
 use npar::sim::{
-    BlockCtx, CheckLevel, GBuf, Gpu, HazardKind, Kernel, KernelRef, LaunchConfig, SimError, Stream,
+    CheckLevel, CostModel, DeviceConfig, GBuf, Gpu, HazardKind, KernelRef, LaunchConfig, SimError,
     ThreadCtx, ThreadKernel,
 };
 use npar::tree::TreeGen;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+mod seeded;
+use seeded::*;
 
 fn hazards_of(err: SimError) -> Vec<npar::sim::Hazard> {
     match err {
@@ -26,123 +29,12 @@ fn hazards_of(err: SimError) -> Vec<npar::sim::Hazard> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Seeded-bug kernels: each plants one specific hazard.
-// ---------------------------------------------------------------------------
-
-/// Every thread of the block stores to shared offset 0 in one segment.
-struct SharedRaceKernel;
-impl Kernel for SharedRaceKernel {
-    fn name(&self) -> &str {
-        "seeded-shared-race"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        blk.for_each_thread(|t| t.shared_st(0));
-    }
-}
-
-/// Every thread of every block stores to the same global element.
-struct GlobalRaceKernel {
-    buf: GBuf<u32>,
-}
-impl ThreadKernel for GlobalRaceKernel {
-    fn name(&self) -> &str {
-        "seeded-global-race"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        t.st(&self.buf, 0);
-    }
-}
-
-/// Each thread stores to its own global element — the race-free twin.
-struct DisjointWriteKernel {
-    buf: GBuf<u32>,
-}
-impl ThreadKernel for DisjointWriteKernel {
-    fn name(&self) -> &str {
-        "disjoint-writes"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        t.st(&self.buf, t.global_id());
-    }
-}
-
-/// The leader touches one shared word past the declared allocation.
-struct OobKernel {
-    declared: u32,
-}
-impl Kernel for OobKernel {
-    fn name(&self) -> &str {
-        "seeded-shared-oob"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let edge = self.declared;
-        blk.leader(|t| t.shared_st(edge));
-    }
-}
-
-/// Child grid that plainly writes the first `n` elements of a buffer.
-struct ChildWriter {
-    buf: GBuf<u32>,
-    n: usize,
-}
-impl ThreadKernel for ChildWriter {
-    fn name(&self) -> &str {
-        "child-writer"
-    }
-    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
-        let i = t.global_id();
-        if i < self.n {
-            t.st(&self.buf, i);
-        }
-    }
-}
-
-/// Fire-and-forget parent: launches the child, then reads what the child
-/// writes with only a plain barrier in between (no `sync_children`), or
-/// with a proper join when `join` is set.
-struct ForgetfulParent {
-    child: KernelRef,
-    buf: GBuf<u32>,
-    join: bool,
-}
-impl Kernel for ForgetfulParent {
-    fn name(&self) -> &str {
-        "seeded-unjoined-read"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let cfg = LaunchConfig::new(1, 32);
-        blk.leader(|t| t.launch(&self.child, cfg, Stream::Default));
-        if self.join {
-            blk.sync_children();
-        } else {
-            blk.sync();
-        }
-        blk.for_each_thread(|t| t.ld(&self.buf, 0));
-    }
-}
-
-/// Launches a child grid whose block size exceeds the device limit.
-struct BadLauncher {
-    child: KernelRef,
-    block_dim: u32,
-}
-impl Kernel for BadLauncher {
-    fn name(&self) -> &str {
-        "seeded-bad-launch"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let cfg = LaunchConfig::new(1, self.block_dim);
-        blk.leader(|t| t.launch(&self.child, cfg, Stream::Default));
-    }
-}
-
 #[test]
 fn seeded_shared_race_is_detected_and_located() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let err = gpu
         .launch(
-            Arc::new(SharedRaceKernel),
+            Rc::new(SharedRaceKernel),
             LaunchConfig::with_shared(1, 64, 4),
         )
         .unwrap_err();
@@ -160,7 +52,7 @@ fn seeded_global_race_is_detected_across_blocks() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
     let err = gpu
-        .launch(Arc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
+        .launch(Rc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
         .unwrap_err();
     let hazards = hazards_of(err);
     assert_eq!(hazards[0].kind, HazardKind::GlobalRace);
@@ -176,7 +68,7 @@ fn disjoint_writes_pass_strict() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
     gpu.launch(
-        Arc::new(DisjointWriteKernel { buf }),
+        Rc::new(DisjointWriteKernel { buf }),
         LaunchConfig::new(2, 32),
     )
     .unwrap();
@@ -188,7 +80,7 @@ fn seeded_shared_oob_is_detected() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let err = gpu
         .launch(
-            Arc::new(OobKernel { declared: 128 }),
+            Rc::new(OobKernel { declared: 128 }),
             LaunchConfig::with_shared(1, 32, 128),
         )
         .unwrap_err();
@@ -205,10 +97,10 @@ fn seeded_shared_oob_is_detected() {
 fn seeded_unjoined_child_read_is_linted() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     let err = gpu
         .launch(
-            Arc::new(ForgetfulParent {
+            Rc::new(ForgetfulParent {
                 child,
                 buf,
                 join: false,
@@ -229,9 +121,9 @@ fn seeded_unjoined_child_read_is_linted() {
 fn joined_child_read_passes_strict() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     gpu.launch(
-        Arc::new(ForgetfulParent {
+        Rc::new(ForgetfulParent {
             child,
             buf,
             join: true,
@@ -248,10 +140,10 @@ fn seeded_invalid_child_launch_is_fatal_even_with_checks_off() {
     let mut gpu = Gpu::k20(); // CheckLevel::Off is the default
     assert_eq!(gpu.check_level(), CheckLevel::Off);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     let err = gpu
         .launch(
-            Arc::new(BadLauncher {
+            Rc::new(BadLauncher {
                 child,
                 block_dim: 4096,
             }),
@@ -268,10 +160,38 @@ fn seeded_invalid_child_launch_is_fatal_even_with_checks_off() {
 }
 
 #[test]
+fn child_launch_whose_blocks_never_fit_is_an_invalid_child_launch() {
+    // The parent's 32-thread block fits a 48-thread SM; the child's
+    // 64-thread block never does, so it is refused instead of never running.
+    let mut device = DeviceConfig::kepler_k20();
+    device.max_threads_per_sm = 48;
+    let mut gpu = Gpu::new(device, CostModel::default());
+    let buf = gpu.alloc::<u32>(32);
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
+    let err = gpu
+        .launch(
+            Rc::new(BadLauncher {
+                child,
+                block_dim: 64,
+            }),
+            LaunchConfig::new(1, 32),
+        )
+        .unwrap_err();
+    let hazards = hazards_of(err);
+    assert_eq!(hazards[0].kind, HazardKind::InvalidChildLaunch);
+    assert!(
+        hazards[0].details.contains("never fits"),
+        "{}",
+        hazards[0].details
+    );
+    assert_eq!(gpu.synchronize().device_launches, 0);
+}
+
+#[test]
 fn warn_level_records_and_continues() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Warn);
     gpu.launch(
-        Arc::new(SharedRaceKernel),
+        Rc::new(SharedRaceKernel),
         LaunchConfig::with_shared(1, 64, 4),
     )
     .expect("Warn must not fail the launch");
@@ -289,7 +209,7 @@ fn warn_level_records_and_continues() {
 fn off_level_ignores_races() {
     let mut gpu = Gpu::k20(); // Off
     gpu.launch(
-        Arc::new(SharedRaceKernel),
+        Rc::new(SharedRaceKernel),
         LaunchConfig::with_shared(1, 64, 4),
     )
     .unwrap();
@@ -300,84 +220,6 @@ fn off_level_ignores_races() {
 // ---------------------------------------------------------------------------
 // Randomized classification: generated racy / race-free kernels.
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-enum PlanOp {
-    W(u32),
-    R(u32),
-    A(u32),
-}
-
-/// Replays an explicit per-segment, per-lane shared-memory access plan.
-struct PlanKernel {
-    plan: Vec<Vec<Vec<PlanOp>>>, // [segment][lane][ops]
-}
-impl Kernel for PlanKernel {
-    fn name(&self) -> &str {
-        "plan"
-    }
-    fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        for (s, seg) in self.plan.iter().enumerate() {
-            if s > 0 {
-                blk.sync();
-            }
-            blk.for_each_thread(|t| {
-                for op in &seg[t.thread_idx() as usize] {
-                    match *op {
-                        PlanOp::W(a) => t.shared_st(a),
-                        PlanOp::R(a) => t.shared_ld(a),
-                        PlanOp::A(a) => t.shared_atomic(a),
-                    }
-                }
-            });
-        }
-    }
-}
-
-const LANES: usize = 32;
-/// Lane-private slots 0..32, injection offsets 32..40, a read-only word at
-/// 41 and a shared atomic counter at 42 — 43 words of shared memory.
-const PLAN_SHARED: u32 = 43 * 4;
-const RO_WORD: u32 = 41 * 4;
-const COUNTER_WORD: u32 = 42 * 4;
-
-/// A plan that is race-free by construction: lanes touch only their own
-/// slot, read the read-only word and hit the shared counter atomically.
-fn race_free_plan(rng: &mut ChaCha8Rng, nsegs: usize) -> Vec<Vec<Vec<PlanOp>>> {
-    (0..nsegs)
-        .map(|_| {
-            (0..LANES)
-                .map(|lane| {
-                    let own = lane as u32 * 4;
-                    (0..rng.gen_range(0usize..4))
-                        .map(|_| match rng.gen_range(0u32..5) {
-                            0 => PlanOp::W(own),
-                            1 => PlanOp::R(own),
-                            2 => PlanOp::A(own),
-                            3 => PlanOp::R(RO_WORD),
-                            _ => PlanOp::A(COUNTER_WORD),
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Inject one conflicting pair: a plain write by one lane and any access by
-/// another lane to the same word within one segment.
-fn inject_race(rng: &mut ChaCha8Rng, plan: &mut [Vec<Vec<PlanOp>>]) {
-    let seg = rng.gen_range(0..plan.len());
-    let l1 = rng.gen_range(0..LANES);
-    let l2 = (l1 + 1 + rng.gen_range(0..LANES - 1)) % LANES;
-    let addr = (LANES as u32 + rng.gen_range(0u32..8)) * 4;
-    plan[seg][l1].push(PlanOp::W(addr));
-    plan[seg][l2].push(match rng.gen_range(0u32..3) {
-        0 => PlanOp::W(addr),
-        1 => PlanOp::R(addr),
-        _ => PlanOp::A(addr),
-    });
-}
 
 #[test]
 fn randomized_shared_plans_are_classified_exactly() {
@@ -391,7 +233,7 @@ fn randomized_shared_plans_are_classified_exactly() {
         }
         let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
         let result = gpu.launch(
-            Arc::new(PlanKernel { plan }),
+            Rc::new(PlanKernel { plan }),
             LaunchConfig::with_shared(1, LANES as u32, PLAN_SHARED),
         );
         match (racy, result) {
@@ -437,7 +279,7 @@ fn randomized_global_strides_are_classified_exactly() {
         let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
         let buf = gpu.alloc::<u32>(total);
         let result = gpu.launch(
-            Arc::new(StrideKernel { buf, modulus }),
+            Rc::new(StrideKernel { buf, modulus }),
             LaunchConfig::new(blocks, bd),
         );
         match (racy, result) {

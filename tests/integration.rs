@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: generated datasets through the full
 //! template/simulator pipeline, checked against the serial references.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bc, bfs, pagerank, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -240,7 +240,7 @@ fn paper_headline_shape_holds_in_miniature() {
 fn umbrella_reexports_compose() {
     let mut gpu = Gpu::k20();
     let _buf = gpu.alloc::<f32>(16);
-    let _ = Arc::new(TreeGen {
+    let _ = Rc::new(TreeGen {
         depth: 2,
         outdegree: 2,
         sparsity: 0,
